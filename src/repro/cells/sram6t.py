@@ -13,7 +13,6 @@ import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.errors import ConfigurationError
 from repro.tech.leakage import sram_cell_leakage
@@ -113,6 +112,10 @@ def inverter_vtc(cell: Sram6tCell, during_read: bool,
     precharge) fights the pull-down, lifting the low output level — the
     classic read-disturb mechanism that shrinks the read SNM.
     """
+    # Imported here: scipy.optimize costs ~16 MB of resident memory,
+    # which no caller outside the noise-margin solvers should pay.
+    from scipy.optimize import brentq
+
     node = cell.node
     vdd = node.vdd
     pd, pu, ax = cell.pulldown, cell.pullup, cell.access
@@ -159,6 +162,8 @@ def static_noise_margin(cell: Sram6tCell, during_read: bool,
     smaller lobe's square — with identical inverters the lobes are
     symmetric and the two values coincide.
     """
+    from scipy.optimize import brentq
+
     vdd = cell.node.vdd
     vtc = inverter_vtc(cell, during_read, points)
 

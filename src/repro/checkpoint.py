@@ -16,7 +16,9 @@ same three defences:
   the one sweep loop, :func:`repro.exec.run_parallel_sweep`.
 
 Checkpoints are written atomically (temp file + ``os.replace``), so a
-kill during a save never corrupts the previous snapshot.
+kill during a save never corrupts the previous snapshot.  A
+:class:`GrowingList` value in a snapshot keeps its own JSON text, so the
+periodic saves of a growing sweep encode only what is new.
 """
 
 from __future__ import annotations
@@ -46,6 +48,47 @@ CHECKPOINT_SCHEMA = 2
 _OLDEST_READABLE_SCHEMA = 1
 
 
+class GrowingList(list):
+    """A list that only grows and keeps the JSON text of its elements.
+
+    :meth:`Checkpoint.save` renders a ``GrowingList`` value of ``done``
+    from that text, encoding only the elements appended since the
+    previous save, so a sweep that saves every few items pays once per
+    element rather than once per element per save.  Elements may only be
+    added at the end (``append``/``extend``): the text of an element is
+    frozen when it is first rendered.
+    """
+
+    __slots__ = ("_text", "_encoded")
+
+    def __init__(self, items=()) -> None:
+        super().__init__(items)
+        self._text = ""  # elements [0, _encoded) joined by ", "
+        self._encoded = 0
+
+    def json_text(self) -> str:
+        """``json.dumps(self, sort_keys=True)``, from the cached text."""
+        if self._encoded < len(self):
+            # json's own encoder on the new tail: exact by construction.
+            new = json.dumps(self[self._encoded:], sort_keys=True)[1:-1]
+            self._text = f"{self._text}, {new}" if self._encoded else new
+            self._encoded = len(self)
+        return f"[{self._text}]"
+
+
+def _canonical_json(done: Dict[str, Any]) -> str:
+    """``json.dumps(done, sort_keys=True)``, rendering top-level
+    :class:`GrowingList` values from their cached text."""
+    if not (any(isinstance(value, GrowingList) for value in done.values())
+            and all(type(key) is str for key in done)):
+        return json.dumps(done, sort_keys=True)
+    return "{" + ", ".join(
+        json.dumps(key) + ": " + (value.json_text()
+                                  if isinstance(value, GrowingList)
+                                  else json.dumps(value, sort_keys=True))
+        for key, value in sorted(done.items())) + "}"
+
+
 @pure
 def _content_checksum(done: Dict[str, Any]) -> str:
     """Hex digest over the canonical JSON rendering of ``done``.
@@ -54,8 +97,12 @@ def _content_checksum(done: Dict[str, Any]) -> str:
     digest is independent of insertion order and of how the enclosing
     payload happens to be formatted on disk.
     """
-    canonical = json.dumps(done, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
+    return _digest(json.dumps(done, sort_keys=True).encode("utf-8"))
+
+
+@pure
+def _digest(canonical: bytes) -> str:
+    return hashlib.sha256(canonical).hexdigest()[:32]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,19 +250,22 @@ class Checkpoint:
         rename itself is durable.  The payload carries a content
         checksum over ``done`` (schema 2), which is what lets
         :meth:`load` distinguish a torn write from a good snapshot.
+        ``done`` is rendered once, canonically: the checksum hashes the
+        same text the file stores, and :class:`GrowingList` values are
+        rendered from their cached text.
         """
-        payload = {
-            "schema": CHECKPOINT_SCHEMA,
-            "fingerprint": self.fingerprint,
-            "checksum": _content_checksum(done),
-            "done": done,
-        }
+        canonical = _canonical_json(done).encode("utf-8")
+        payload = b"".join((
+            (f'{{"schema": {CHECKPOINT_SCHEMA}, '
+             f'"fingerprint": {json.dumps(self.fingerprint)}, '
+             f'"checksum": "{_digest(canonical)}", "done": ').encode("utf-8"),
+            canonical, b"}"))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(payload)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, self.path)

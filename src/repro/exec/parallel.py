@@ -252,14 +252,21 @@ class _Sweep:
                  jobs: int, chunk_size: Optional[int],
                  policy: SupervisionPolicy, checkpoint, budget, save_every,
                  encode, progress) -> None:
-        self.items = [_Item(index, key, fn, args)
-                      for index, (key, fn, args) in enumerate(items)
-                      if key not in done]
-        size = chunk_size or (1 if jobs == 1 else max(
-            1, math.ceil(len(self.items) / (4 * jobs))))
-        self.queue: collections.deque = collections.deque(
-            self.items[start:start + size]
-            for start in range(0, len(self.items), size))
+        self.source = items
+        #: Indexes into ``items`` still to evaluate, in sweep order.
+        self.todo: Sequence[int] = (
+            range(len(items)) if not done else
+            [index for index, (key, _fn, _args) in enumerate(items)
+             if key not in done])
+        #: The ``_Item`` of each ``todo`` position, created when its
+        #: chunk is first queued and released once merged.
+        self.items: List[Optional[_Item]] = [None] * len(self.todo)
+        self.chunk_size = chunk_size or (1 if jobs == 1 else max(
+            1, math.ceil(len(self.todo) / (4 * jobs))))
+        self.fresh = 0  # todo positions below this have items
+        #: Chunks ready to run: requeued ones first, then fresh ones
+        #: cut by :meth:`grow` as the queue runs dry.
+        self.queue: collections.deque = collections.deque()
         self.done = done
         self.jobs = jobs
         self.policy = policy
@@ -279,6 +286,21 @@ class _Sweep:
         self.flights: List[_Flight] = []
         self.tokens = 0
         self.losses = 0
+
+    def grow(self) -> bool:
+        """Queue the next fresh chunk; False once every item has one."""
+        start = self.fresh
+        if start == len(self.todo):
+            return False
+        self.fresh = min(start + self.chunk_size, len(self.todo))
+        chunk = []
+        for position in range(start, self.fresh):
+            index = self.todo[position]
+            key, fn, args = self.source[index]
+            chunk.append(_Item(index, key, fn, args))
+        self.items[start:self.fresh] = chunk
+        self.queue.append(chunk)
+        return True
 
     # -- merge ------------------------------------------------------------
 
@@ -307,7 +329,7 @@ class _Sweep:
         """Merge the finished prefix in submission order."""
         while self.cursor < len(self.items):
             item = self.items[self.cursor]
-            if item.status is None:
+            if item is None or item.status is None:
                 return
             if self.clock.out_of_failures():
                 self.exhausted = "max_failures"
@@ -318,6 +340,7 @@ class _Sweep:
             if item.status == "raise":  # a programming error: save, surface
                 self.save()
                 raise item.value
+            self.items[self.cursor] = None
             self.cursor += 1
             if item.status == "ok":
                 self.done[item.key] = self.encode(item.value)
@@ -420,7 +443,7 @@ class _Sweep:
     def run_inline(self) -> None:
         deadline = self.policy.max_sample_seconds
         while not self.finished:
-            if self.out_of_time() or not self.queue:
+            if self.out_of_time() or not (self.queue or self.grow()):
                 return
             chunk = self.queue.popleft()
             delay = chunk[0].eligible_at - time.monotonic()
@@ -487,7 +510,8 @@ class _Sweep:
         turned out to be broken."""
         now = time.monotonic()
         position = 0
-        while position < len(self.queue) and len(self.flights) < self.jobs:
+        while len(self.flights) < self.jobs and (
+                position < len(self.queue) or self.grow()):
             chunk = self.queue[position]
             if any(f.chunk[0].index in self.suspects for f in self.flights):
                 return False  # a suspect runs alone
@@ -632,9 +656,12 @@ def run_parallel_sweep(items: Sequence[WorkItem],
     (module docstring).  SIGTERM/Ctrl-C is trapped: the final
     checkpoint is written and the partial outcome comes back with
     ``interrupted=True``.
+
+    ``items`` is read chunk by chunk as the sweep dispatches, so a
+    sequence that builds its items on demand holds in memory only those
+    in flight or awaiting merge.
     """
-    keys = [key for key, _fn, _args in items]
-    if len(set(keys)) != len(keys):
+    if len({key for key, _fn, _args in items}) != len(items):
         raise ConfigurationError("sweep item keys must be unique")
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
@@ -674,7 +701,8 @@ def run_parallel_sweep(items: Sequence[WorkItem],
     sweep.save()
 
     decode = decode or (lambda value: value)
-    results = {key: decode(done[key]) for key in keys if key in done}
+    results = {key: decode(done[key])
+               for key, _fn, _args in items if key in done}
     failed = len(sweep.failures) + len(sweep.quarantined)
     return SweepOutcome(
         results=results,

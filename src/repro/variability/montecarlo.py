@@ -21,6 +21,7 @@ degrades to ``batch=1`` (logged as an ``mc.batch.fallback`` event).
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import math
 from typing import Callable, Dict, List, Optional, Tuple
@@ -29,7 +30,7 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.effects import deterministic_under_seed
-from repro.checkpoint import Checkpoint, RunBudget
+from repro.checkpoint import Checkpoint, GrowingList, RunBudget
 from repro.errors import ConfigurationError, SimulationError
 from repro.exec import SupervisionPolicy, run_parallel_sweep
 from repro.spice.batch import BatchTransientModel, eval_model_batch
@@ -65,16 +66,32 @@ class MonteCarloResult:
         return float(np.mean(logs)), float(np.std(logs, ddof=1))
 
 
-class _Sample:
-    """One sample as an executor work function: ``model`` on the
-    sample's own child stream (picklable, so workers can run it)."""
+def _child_sequence(root: np.random.SeedSequence,
+                    index: int) -> np.random.SeedSequence:
+    """Child stream ``index`` of ``root``, exactly as ``root.spawn``
+    builds it, without building the children before it."""
+    return np.random.SeedSequence(root.entropy,
+                                  spawn_key=root.spawn_key + (index,),
+                                  pool_size=root.pool_size)
 
-    def __init__(self, model: Callable[[np.random.Generator], float]) -> None:
+
+class _Sample:
+    """One sample as an executor work function: ``model`` on child
+    stream ``index`` of the root seed sequence (picklable, so workers
+    can run it; an item carries only its index)."""
+
+    def __init__(self, model: Callable[[np.random.Generator], float],
+                 root: np.random.SeedSequence) -> None:
         self.model = model
+        self.root = root
 
     @deterministic_under_seed
-    def __call__(self, child: np.random.SeedSequence) -> float:
-        return float(self.model(np.random.default_rng(child)))
+    def rng(self, index: int) -> np.random.Generator:
+        return np.random.default_rng(_child_sequence(self.root, index))
+
+    @deterministic_under_seed
+    def __call__(self, index: int) -> float:
+        return float(self.model(self.rng(index)))
 
 
 class _BatchSample(_Sample):
@@ -83,10 +100,30 @@ class _BatchSample(_Sample):
     reports an ``(ok, value_or_error)`` pair per sample."""
 
     @deterministic_under_seed
-    def chunk(self, args: List[Tuple[np.random.SeedSequence]]
-              ) -> List[Tuple[bool, object]]:
+    def chunk(self, args: List[Tuple[int]]) -> List[Tuple[bool, object]]:
         return eval_model_batch(
-            self.model, [np.random.default_rng(child) for (child,) in args])
+            self.model, [self.rng(index) for (index,) in args])
+
+
+class _Items(collections.abc.Sequence):
+    """The work items ``(str(i), sample, (i,))`` for ``i`` in
+    ``[start, stop)``, built on demand (the executor holds only the
+    chunks in flight)."""
+
+    def __init__(self, sample: _Sample, start: int, stop: int) -> None:
+        self._sample = sample
+        self._indexes = range(start, stop)
+
+    def __len__(self) -> int:
+        return len(self._indexes)
+
+    def __getitem__(self, position: int) -> Tuple[str, _Sample, Tuple[int]]:
+        index = self._indexes[position]
+        return str(index), self._sample, (index,)
+
+    def __iter__(self):
+        sample = self._sample
+        return ((str(index), sample, (index,)) for index in self._indexes)
 
 
 def _effective_batch(model, batch: int) -> int:
@@ -178,26 +215,41 @@ def _fold(state: dict, done: Dict[str, float], stop: int) -> None:
     state["next"] = max(state["next"], stop)
 
 
-class _StateCheckpoint:
-    """Saves the executor's ``{index: sample}`` mapping in the MC schema.
+class _Ledger:
+    """The MC state as the executor's checkpoint and progress sink.
 
-    The executor merges in index order, so when sample ``j`` is the
-    newest merged one, every index in ``[next, j]`` either completed or
-    failed: each save records the failed indexes and moves ``next`` to
-    ``j + 1``, at every ``jobs`` and ``batch`` setting.
+    The executor merges samples in index order and reports each merged
+    sample to :meth:`advance` before any save that includes it, so
+    ``merged`` is the index after the newest merged sample and every
+    index in ``[next, merged)`` either completed or failed.  Each save
+    folds that range into the state (failed indexes too) and writes it
+    through ``checkpoint`` when there is one, at every ``jobs`` and
+    ``batch`` setting.
     """
 
-    def __init__(self, checkpoint: Checkpoint, state: dict) -> None:
-        self._checkpoint = checkpoint
+    def __init__(self, state: dict, checkpoint: Optional[Checkpoint],
+                 progress) -> None:
         self._state = state
+        self._checkpoint = checkpoint
+        self._progress = progress
+        self.merged = state["next"]
+        #: ``next`` as the file on disk records it (-1: no file yet).
+        self.saved = (state["next"] if checkpoint is not None
+                      and checkpoint.exists() else -1)
 
     def load(self) -> None:
         return None  # the caller already consumed the base state
 
+    def advance(self, completed: int = 0, failed: int = 0) -> None:
+        self.merged += completed + failed
+        if self._progress is not None:
+            self._progress.advance(completed=completed, failed=failed)
+
     def save(self, done: Dict[str, float]) -> None:
-        if done:
-            _fold(self._state, done, int(next(reversed(done))) + 1)
-        self._checkpoint.save(self._state)
+        _fold(self._state, done, self.merged)
+        self.saved = self.merged
+        if self._checkpoint is not None:
+            self._checkpoint.save(self._state)
 
 
 def run_monte_carlo_resumable(model: Callable[[np.random.Generator], float],
@@ -241,15 +293,18 @@ def run_monte_carlo_resumable(model: Callable[[np.random.Generator], float],
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
     batch = _effective_batch(model, batch)
-    children = np.random.SeedSequence(seed).spawn(count)
+    root = np.random.SeedSequence(seed)
 
-    state: dict = {"next": 0, "samples": [], "failed": []}
+    # Samples and failed indexes only grow, so they keep their own JSON
+    # text and a checkpoint save encodes only what is new.
+    state: dict = {"next": 0, "samples": GrowingList(),
+                   "failed": GrowingList()}
     if checkpoint is not None:
         loaded = checkpoint.load()
         if loaded:
             state = {"next": int(loaded.get("next", 0)),
-                     "samples": list(loaded.get("samples", [])),
-                     "failed": list(loaded.get("failed", []))}
+                     "samples": GrowingList(loaded.get("samples", [])),
+                     "failed": GrowingList(loaded.get("failed", []))}
             if progress is not None and state["next"]:
                 progress.note_restored(state["next"])
 
@@ -261,22 +316,19 @@ def run_monte_carlo_resumable(model: Callable[[np.random.Generator], float],
             budget = RunBudget(
                 max_seconds=budget.max_seconds,
                 max_failures=budget.max_failures - len(state["failed"]))
-        sample = (_BatchSample if batch > 1 else _Sample)(model)
+        sample = (_BatchSample if batch > 1 else _Sample)(model, root)
+        ledger = _Ledger(state, checkpoint, progress)
         outcome = run_parallel_sweep(
-            [(str(index), sample, (children[index],))
-             for index in range(start, count)],
+            _Items(sample, start, count),
             jobs=jobs, budget=budget, save_every=save_every,
-            checkpoint=(_StateCheckpoint(checkpoint, state)
-                        if checkpoint is not None else None),
+            checkpoint=ledger if checkpoint is not None else None,
             chunk_size=batch if batch > 1 else None,
-            progress=progress, policy=policy)
-        stop = state["next"]
-        while stop < count and (str(stop) in outcome.results
-                                or str(stop) in outcome.errors):
-            stop += 1
-        _fold(state, outcome.results, stop)
-        if checkpoint is not None:
-            checkpoint.save(state)
+            progress=ledger, policy=policy)
+        if ledger.saved < ledger.merged:
+            # One last save for what the sweep's saves did not cover:
+            # every sample without a checkpoint, else trailing failures
+            # (or an empty state, so a stopped run always leaves a file).
+            ledger.save(outcome.results)
         exhausted = outcome.exhausted
         errors = {int(key): message
                   for key, message in outcome.errors.items()}

@@ -25,6 +25,24 @@ from repro.variability.montecarlo import (run_monte_carlo,
                                           run_monte_carlo_resumable)
 
 
+class _Killed(BaseException):
+    """Simulated kill; BaseException so no handler can swallow it."""
+
+
+class _KillAfterSaves(Checkpoint):
+    """Checkpoint that dies right *after* its n-th successful save."""
+
+    def __init__(self, path, fingerprint, saves: int) -> None:
+        super().__init__(path, fingerprint)
+        self._remaining = saves
+
+    def save(self, done) -> None:
+        super().save(done)
+        self._remaining -= 1
+        if self._remaining == 0:
+            raise _Killed
+
+
 @pytest.fixture()
 def ckpt(tmp_path):
     return Checkpoint(tmp_path / "sweep.ckpt.json", fingerprint="fp-1")
@@ -184,15 +202,21 @@ class TestMonteCarloResume:
         np.testing.assert_array_equal(resumed.result.samples,
                                       straight.samples)
 
-    def test_partial_mid_run_resume_is_bit_identical(self, tmp_path):
-        ckpt = Checkpoint(tmp_path / "mc2.json", "fp-mc2")
-        # Save every sample so the kill can land mid-run.
-        state = run_monte_carlo_resumable(
-            self.model, count=40, seed=3, checkpoint=ckpt, save_every=1,
-            budget=RunBudget(max_failures=0))
-        assert state.completed in (0, 40)  # failures never happen here
-        resumed = run_monte_carlo_resumable(self.model, count=40, seed=3,
-                                            checkpoint=ckpt)
+    @pytest.mark.parametrize("saves", [1, 17, 39])
+    def test_partial_mid_run_resume_is_bit_identical(self, tmp_path, saves):
+        path = tmp_path / "mc2.json"
+        # Save every sample and die right after the k-th save.
+        with pytest.raises(_Killed):
+            run_monte_carlo_resumable(
+                self.model, count=40, seed=3, save_every=1,
+                checkpoint=_KillAfterSaves(path, "fp-mc2", saves))
+        saved = Checkpoint(path, "fp-mc2").load()
+        assert 0 < saved["next"] < 40  # killed genuinely mid-run
+        assert saved["next"] == saves == len(saved["samples"])
+        resumed = run_monte_carlo_resumable(
+            self.model, count=40, seed=3,
+            checkpoint=Checkpoint(path, "fp-mc2"))
+        assert resumed.complete
         straight = run_monte_carlo(self.model, count=40, seed=3)
         np.testing.assert_array_equal(resumed.result.samples,
                                       straight.samples)
