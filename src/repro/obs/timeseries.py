@@ -2,7 +2,7 @@
 
 A :class:`TimeSeries` records ``(t, value)`` samples from a hot loop —
 Newton iterations per accepted timestep, the refresh simulator's
-windowed busy fraction, the stamp plan's LU reuse ratio — while
+windowed busy fraction, the batch solver's occupancy — while
 guaranteeing that memory stays bounded no matter how long the run is:
 
 * the series stores at most ``capacity`` points;

@@ -9,7 +9,10 @@ property chains down to the technology tables — dominates the solve.
 A :class:`StampPlan` compiles a circuit once per :class:`MnaSystem`:
 
 * the circuit is partitioned into **linear** elements (resistor,
-  capacitor, voltage source, current source) and the **nonlinear rest**;
+  capacitor, voltage source, current source) and the **nonlinear rest**
+  (diode, switch, MOSFET); a plan accepts exactly these seven element
+  types and raises :class:`~repro.errors.ConfigurationError` on any
+  other (``stamp_plan=False`` runs such circuits on the legacy loop);
 * the linear *matrix* contributions are assembled once per
   ``(dt, integrator, gmin)`` key and cached — per Newton iterate the
   base is block-copied, never re-stamped;
@@ -20,36 +23,22 @@ A :class:`StampPlan` compiles a circuit once per :class:`MnaSystem`:
 * nonlinear elements are compiled to per-element *value fillers* with
   node indices resolved to integers once; their matrix/RHS writes
   replay through two ``np.add.at`` scatters over index/sign arrays
-  frozen in canonical write order (unknown element types fall back to
-  their generic ``stamp()`` through a facade system with direct
-  per-element writes, so plans accept any circuit);
-* the LU factorisation is cached by matrix *content* in a small LRU
-  (``_MAX_LU_FACTORS`` entries, ``spice.lu.evictions`` counts the
-  overflow) and reused when the matrix is unchanged between iterates
-  or timesteps (``spice.lu.reuse`` / ``spice.lu.refactor`` count the
-  split).  Content keying makes invalidation automatic: gmin stepping,
-  source stepping and substep halving all change the assembled matrix,
-  so they can never reuse a stale factorisation by construction.  On
-  fully-compiled plans the content key is the tuple of assembly
-  *inputs* — the linear-base key, ``extra_gmin``, and the bytes of the
-  (small) nonlinear value vector — because assembly is a deterministic
-  function of those inputs, equal inputs imply an equal matrix.  That
-  replaces an O(n²) ``matrix.tobytes()`` copy per Newton iterate with
-  an O(#nonlinear-slots) one; plans carrying generic-fallback stamps
-  (whose writes are opaque to the compiler) keep the full-matrix key.
+  frozen in canonical write order.
+
+Each Newton iterate then does one assembly (base copy, filler scatter,
+gmin-stepping diagonal) into a value array plus a RHS vector, and one
+factor+solve of it.  Nothing is cached across iterates: on the paper's
+workloads consecutive iterates almost never repeat a matrix, so a
+factorisation cache would only add key hashing to every solve.
 
 **Backends.**  ``backend`` selects the linear kernel: ``"dense"`` (the
-default — LAPACK LU via :mod:`repro.spice.linalg`, bit-identical to
-the legacy path), ``"sparse"`` (the pattern-compiled CSR path of
-:mod:`repro.spice.sparse` — assembly scatters into the frozen value
-array, never touching an O(n²) matrix copy), or ``"auto"`` (sparse at
-and above ``SPARSE_AUTO_THRESHOLD`` unknowns, dense below; the
-crossover is calibrated by ``benchmarks/test_sparse_throughput.py``).
-Sparse factorisations live in the same content-keyed LRU, so the
-recovery ladder invalidates them exactly like dense ones.  Plans
-carrying generic-fallback stamps always solve dense (their writes are
-opaque to the pattern compiler); ``spice.sparse.generic_fallback``
-counts that demotion.
+default — LAPACK LU via :mod:`repro.spice.linalg` on the plan's
+persistent ``n x n`` buffer, bit-identical to the legacy path),
+``"sparse"`` (the pattern-compiled CSR path of :mod:`repro.spice.sparse`
+— the value array is the frozen pattern's values, never an O(n²)
+matrix), or ``"auto"`` (sparse at and above ``SPARSE_AUTO_THRESHOLD``
+unknowns, dense below; the crossover is calibrated by
+``benchmarks/test_sparse_throughput.py``).
 
 **Bit-identity contract.**  Both the plan and the legacy path stamp in
 the canonical order of :func:`stamping_order` (linear groups by type in
@@ -65,7 +54,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -76,29 +64,20 @@ from repro.spice import linalg
 from repro.spice.elements import (Capacitor, CurrentSource, Diode, Resistor,
                                   Switch, VoltageSource)
 from repro.spice.sparse import SparseContext
-from repro.spice.mna import MnaSystem, StampContext
+from repro.spice.mna import MnaSystem
 from repro.spice.mosfet import _FD_STEP, MosfetElement
 from repro.spice.netlist import CircuitElement
 from repro.tech.node import Polarity
 
-#: Exact types compiled into the linear base (subclasses keep their
-#: generic ``stamp()`` and are treated as nonlinear-unknown).
+#: Exact types compiled into the linear base.
 _LINEAR_TYPES = (Resistor, Capacitor, VoltageSource, CurrentSource)
+
+#: Exact types compiled to value fillers.
+_NONLINEAR_TYPES = (Diode, Switch, MosfetElement)
 
 #: Upper bound on cached linear bases (substep halving creates a new
 #: dt per halving; the ladder is bounded, but stay defensive).
 _MAX_BASES = 64
-
-#: Solves per LU reuse-ratio telemetry sample: wide enough that the
-#: enabled path amortises the sampler call to noise, narrow enough to
-#: resolve reuse collapses (e.g. a source ramp) inside one run.
-_LU_SAMPLE_WINDOW = 256
-
-#: Upper bound on content-keyed factorisations held per plan.  Long
-#: sweeps walk through an unbounded stream of distinct matrices; the
-#: LRU keeps the working set (a Newton fixed point plus the recovery
-#: ladder's warm restarts) while bounding memory.
-_MAX_LU_FACTORS = 16
 
 #: ``backend="auto"`` picks the sparse path at and above this unknown
 #: count.  Calibrated by ``benchmarks/test_sparse_throughput.py``: at
@@ -123,39 +102,6 @@ def resolve_backend(backend: str, size: int) -> str:
         obs.metrics().counter(f"spice.sparse.auto.{choice}").inc()
         return choice
     return backend
-
-
-class _LuCache:
-    """Small LRU of content-keyed factorisations (dense and sparse).
-
-    Lookups refresh recency; inserting past ``capacity`` evicts the
-    least recently used entry and counts one ``spice.lu.evictions``.
-    Because entries are keyed by matrix *content* (or the assembly
-    inputs that determine it), an eviction can only ever cost a
-    refactorisation, never correctness.
-    """
-
-    __slots__ = ("capacity", "_entries")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._entries: "OrderedDict[object, object]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: object) -> Optional[object]:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: object, factors: object) -> None:
-        self._entries[key] = factors
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            obs.metrics().counter("spice.lu.evictions").inc()
 
 
 def stamping_order(circuit) -> List[CircuitElement]:
@@ -185,60 +131,27 @@ def stamping_order(circuit) -> List[CircuitElement]:
 
 @dataclasses.dataclass
 class _SolvePoint:
-    """Everything fixed across the Newton iterates of one solve point."""
+    """What the assembly of every Newton iterate of one point reads."""
 
-    base: np.ndarray
-    rhs_point: np.ndarray
+    base: np.ndarray       # flat linear base, in value-array layout
+    rhs_point: np.ndarray  # linear RHS of the point
     gmin: float
     extra_gmin: float
-    t: float
-    dt: Optional[float]
-    integrator: str
-    cap_state: Optional[Dict[str, float]]
-    x_prev: Optional[np.ndarray]
-    source_scale: float
-    #: Cache key of ``base`` — the (dt, integrator, gmin) tuple.  Part
-    #: of the inputs-mode LU content key (see StampPlan._solve).
-    base_key: Optional[Tuple[Optional[float], str, float]] = None
-
-
-#: Compiled stamper: (x, matrix_flat, rhs, gmin, point) -> None.  The
-#: matrix argument is the *raveled view* of the plan's matrix buffer —
-#: scalar writes through precompiled flat indices are measurably
-#: cheaper than 2-D tuple indexing, and hit the same memory.
-_Stamper = Callable[[np.ndarray, np.ndarray, np.ndarray, float,
-                     _SolvePoint], None]
 
 
 class StampPlan:
     """One circuit compiled for fast repeated Newton solves."""
 
-    def __init__(self, system: MnaSystem, *, lu_key: str = "inputs",
-                 backend: str = "dense") -> None:
-        if lu_key not in ("inputs", "matrix"):
-            raise ConfigurationError(
-                f"lu_key must be 'inputs' or 'matrix', got {lu_key!r}")
+    def __init__(self, system: MnaSystem, *, backend: str = "dense") -> None:
         backend = resolve_backend(backend, system.size)
         self.system = system
         self.size = system.size
         self._n_nodes = len(system.node_index)
         ground_slot = self.size  # pad slot for gathers/scatters via ground
-        self._ground_slot = ground_slot
 
         self._matrix = np.zeros((self.size, self.size))
-        self._matrix_flat = self._matrix.ravel()  # shared-memory view
         self._rhs = np.zeros(self.size)
         self._diag_flat = np.arange(self._n_nodes) * (self.size + 1)
-
-        # Facade sharing the plan's buffers, for generic-fallback stamps.
-        view = MnaSystem.__new__(MnaSystem)
-        view.circuit = system.circuit
-        view.node_index = system.node_index
-        view.branch_index = system.branch_index
-        view.size = system.size
-        view.matrix = self._matrix
-        view.rhs = self._rhs
-        self._view = view
 
         self._resistors: List[Tuple[int, int, float]] = []
         self._cap_entries: List[Tuple[int, int, float]] = []
@@ -266,9 +179,13 @@ class StampPlan:
                 self._isources.append((
                     element, self._idx(element.node_from),
                     self._idx(element.node_to)))
-            else:
+            elif kind in _NONLINEAR_TYPES:
                 nonlinear.append(element)
-        self.nonlinear_count = len(nonlinear)
+            else:
+                raise ConfigurationError(
+                    f"stamp plans compile only the built-in element types; "
+                    f"{kind.__name__} {element.name!r} needs "
+                    f"stamp_plan=False")
 
         # Nonlinear elements compile to *value fillers*: per iterate
         # each computes its companion-model values (conductances plus
@@ -277,33 +194,24 @@ class StampPlan:
         # index/slot/sign arrays frozen at compile time in canonical
         # write order (np.add.at applies unbuffered, in index order, so
         # per-cell accumulation order — and therefore rounding — is
-        # identical to the sequential legacy walk).  Circuits with an
-        # element type the compiler does not know fall back to direct
-        # per-element stamping so generic stamps interleave correctly.
-        self._batched = all(type(el) in (Diode, Switch, MosfetElement)
-                            for el in nonlinear)
+        # identical to the sequential legacy walk).
         self._fillers: List[Callable] = []
-        self._stampers: List[_Stamper] = []
-        if self._batched:
-            m_writes: List[Tuple[int, int, float]] = []
-            r_writes: List[Tuple[int, int, float]] = []
-            slot = 0
-            for el in nonlinear:
-                fill, n_slots, mw, rw = self._compile_fill(el, slot)
-                self._fillers.append(fill)
-                m_writes.extend(mw)
-                r_writes.extend(rw)
-                slot += n_slots
-            self._nl_vals = [0.0] * slot
-            self._m_idx = np.array([w[0] for w in m_writes], dtype=np.intp)
-            self._m_slot = np.array([w[1] for w in m_writes], dtype=np.intp)
-            self._m_sign = np.array([w[2] for w in m_writes])
-            self._r_idx = np.array([w[0] for w in r_writes], dtype=np.intp)
-            self._r_slot = np.array([w[1] for w in r_writes], dtype=np.intp)
-            self._r_sign = np.array([w[2] for w in r_writes])
-        else:
-            for el in nonlinear:
-                self._stampers.append(self._compile(el))
+        m_writes: List[Tuple[int, int, float]] = []
+        r_writes: List[Tuple[int, int, float]] = []
+        slot = 0
+        for el in nonlinear:
+            fill, n_slots, mw, rw = self._compile_fill(el, slot)
+            self._fillers.append(fill)
+            m_writes.extend(mw)
+            r_writes.extend(rw)
+            slot += n_slots
+        self._nl_vals = [0.0] * slot
+        self._m_idx = np.array([w[0] for w in m_writes], dtype=np.intp)
+        self._m_slot = np.array([w[1] for w in m_writes], dtype=np.intp)
+        self._m_sign = np.array([w[2] for w in m_writes])
+        self._r_idx = np.array([w[0] for w in r_writes], dtype=np.intp)
+        self._r_slot = np.array([w[1] for w in r_writes], dtype=np.intp)
+        self._r_sign = np.array([w[2] for w in r_writes])
 
         # Vectorised capacitor gather/scatter indices (ground -> pad slot).
         n_caps = len(self._cap_entries)
@@ -325,28 +233,18 @@ class StampPlan:
         self._cap_vals = np.empty(2 * n_caps)
 
         self._bases: Dict[Tuple[Optional[float], str, float], np.ndarray] = {}
-        # Inputs-mode keys are only sound when every matrix write is
-        # compiler-known; generic-fallback plans key on matrix bytes.
-        self._lu_inputs_key = self._batched and lu_key == "inputs"
-        self._lu_cache = _LuCache(_MAX_LU_FACTORS)
-        # Windowed LU telemetry: every _LU_SAMPLE_WINDOW solves, the
-        # window's reuse fraction is sampled into the
-        # ``spice.lu.reuse_ratio`` time series (x-axis: total solves).
-        self._lu_solves = 0
-        self._lu_window_solves = 0
-        self._lu_window_reuses = 0
 
-        # Sparse backend: freeze the sparsity pattern (every position
-        # any stamp can write) and the scatter maps from the compiled
-        # write lists into it.  Generic-fallback plans stay dense —
-        # their writes are opaque to the pattern compiler.
-        if backend == "sparse" and not self._batched:
-            obs.metrics().counter("spice.sparse.generic_fallback").inc()
-            backend = "dense"
+        # The value array assembly writes, and where the companion
+        # scatter and the gmin-stepping diagonal land in it: the dense
+        # matrix viewed flat, or the frozen sparse pattern's values.
         self.backend = backend
         self._sparse: Optional[SparseContext] = None
         if backend == "sparse":
             self._compile_sparse()
+        else:
+            self._values = self._matrix.ravel()  # shared-memory view
+            self._m_pos = self._m_idx
+            self._diag_pos = self._diag_flat
 
     def _compile_sparse(self) -> None:
         """Freeze the sparsity pattern and the value-scatter maps."""
@@ -370,14 +268,11 @@ class StampPlan:
         flat = np.array(sorted(pattern), dtype=np.intp)
         self._sparse = SparseContext(size, flat)
         pos_of = {int(f): pos for pos, f in enumerate(flat)}
-        self._sp_m_pos = np.array([pos_of[int(i)] for i in self._m_idx],
-                                  dtype=np.intp)
-        self._sp_diag_pos = np.array(
+        self._values = np.empty(len(flat))
+        self._m_pos = np.array([pos_of[int(i)] for i in self._m_idx],
+                               dtype=np.intp)
+        self._diag_pos = np.array(
             [pos_of[int(i)] for i in self._diag_flat], dtype=np.intp)
-        # Linear base gathered into pattern order, cached per base key
-        # alongside _bases.
-        self._sp_bases: Dict[Tuple[Optional[float], str, float],
-                             np.ndarray] = {}
 
     # -- compilation -----------------------------------------------------------
 
@@ -391,8 +286,8 @@ class StampPlan:
         """Compile one nonlinear element to its value filler.
 
         Returns ``(fill, n_slots, matrix_writes, rhs_writes)`` where
-        ``fill(x, vals, gmin, point)`` stores the element's companion
-        values into ``vals[slot:slot + n_slots]`` and each write tuple
+        ``fill(x, vals, gmin)`` stores the element's companion values
+        into ``vals[slot:slot + n_slots]`` and each write tuple
         ``(flat_index, value_slot, sign)`` replays one legacy
         ``+=``/``-=`` in its original order (``a -= v`` is exactly
         ``a += (-1.0 * v)`` in IEEE arithmetic).
@@ -404,13 +299,6 @@ class StampPlan:
             return self._compile_switch(element, slot)
         return self._compile_mosfet(element, slot)
 
-    def _compile(self, element: CircuitElement) -> _Stamper:
-        """Direct-write stamper for plans with generic-fallback elements."""
-        if type(element) in (Diode, Switch, MosfetElement):
-            fill, n_slots, m_writes, r_writes = self._compile_fill(element, 0)
-            return _direct_adapter(fill, n_slots, m_writes, r_writes)
-        return self._compile_generic(element)
-
     def _compile_diode(self, element: Diode, slot: int):
         a, c = self._idx(element.anode), self._idx(element.cathode)
         i_sat, v_t, v_clip = element.i_sat, element.v_t, element.v_clip
@@ -419,7 +307,7 @@ class StampPlan:
         has_a, has_c = a >= 0, c >= 0
         s_g, s_res = slot, slot + 1
 
-        def fill(x, vals, gmin, point):
+        def fill(x, vals, gmin):
             va = x.item(a) if has_a else 0.0
             vc = x.item(c) if has_c else 0.0
             v = va - vc
@@ -464,7 +352,7 @@ class StampPlan:
         has_cp, has_cn = cp >= 0, cn >= 0
         s_g = slot
 
-        def fill(x, vals, gmin, point):
+        def fill(x, vals, gmin):
             vp = x.item(cp) if has_cp else 0.0
             vn = x.item(cn) if has_cn else 0.0
             # Inlined Switch.conductance (clamped logistic).  The full
@@ -502,7 +390,7 @@ class StampPlan:
         has_d, has_g, has_s = d >= 0, g_ >= 0, s >= 0
         s_gd, s_gm, s_res = slot, slot + 1, slot + 2
 
-        def fill(x, vals, gmin, point):
+        def fill(x, vals, gmin):
             vd = x.item(d) if has_d else 0.0
             vg = x.item(g_) if has_g else 0.0
             vs = x.item(s) if has_s else 0.0
@@ -535,10 +423,15 @@ class StampPlan:
                     vgs1 = vs - vg; vds1 = vs - vdf; neg1 = True
                 else:
                     vgs1 = vdf - vg; vds1 = vdf - vs; neg1 = False
-            # --- three inlined copies of _compile_mosfet_magnitude's
-            # body (its vds<0 guard is dead here: the dispatch above
-            # always yields vds >= 0, or NaN on divergent iterates,
-            # which follows the same branches as the legacy builtins).
+            # --- three inlined copies of Mosfet.drain_current with the
+            # same expression trees and evaluation order.  The max/min
+            # builtins become branches that select the identical float
+            # (max(a, b) is "b if b > a else a", NaN included); the
+            # body-effect term is dropped because the element always
+            # passes vsb=0, where it is exactly zero; the vds<0 guard
+            # is dead because the dispatch above always yields
+            # vds >= 0 (or NaN on divergent iterates, which follows
+            # the same branches as the builtins).
             vth = vth0 - dibl * abs(vds0)
             vth = vth if vth > 0.05 else 0.05
             vod = vgs0 - vth
@@ -643,29 +536,19 @@ class StampPlan:
             r_writes.append((s, s_res, 1.0))
         return fill, 3, m_writes, r_writes
 
-    def _compile_generic(self, element: CircuitElement) -> _Stamper:
-        view = self._view
-
-        def stamp(x, mf, rhs, gmin, point):
-            ctx = StampContext(
-                system=view, x=x, x_prev=point.x_prev, dt=point.dt,
-                time=point.t, integrator=point.integrator,
-                cap_state=point.cap_state, gmin=gmin,
-                source_scale=point.source_scale)
-            element.stamp(ctx)
-
-        return stamp
-
     # -- linear base -----------------------------------------------------------
 
     def _base(self, dt: Optional[float], integrator: str,
               gmin: float) -> np.ndarray:
+        """The linear base in value-array layout, cached per key."""
         key = (dt, integrator, gmin)
         base = self._bases.get(key)
         if base is None:
             if len(self._bases) >= _MAX_BASES:
                 self._bases.pop(next(iter(self._bases)))
-            base = self._build_base(dt, integrator, gmin)
+            base = self._build_base(dt, integrator, gmin).ravel()
+            if self._sparse is not None:
+                base = base[self._sparse.flat]
             self._bases[key] = base
         return base
 
@@ -744,147 +627,41 @@ class StampPlan:
             base=self._base(dt, integrator, gmin),
             rhs_point=self._point_rhs(t, dt, integrator, source_scale,
                                       x_history, cap_state),
-            gmin=gmin, extra_gmin=extra_gmin, t=t, dt=dt,
-            integrator=integrator, cap_state=cap_state, x_prev=x_history,
-            source_scale=source_scale, base_key=(dt, integrator, gmin))
+            gmin=gmin, extra_gmin=extra_gmin)
 
-    def solve_iterate(self, point: _SolvePoint, x: np.ndarray) -> np.ndarray:
-        """Assemble and solve one Newton iterate at ``x``."""
-        if self._sparse is not None:
-            return self._solve_iterate_sparse(point, x)
-        matrix, rhs = self._matrix, self._rhs
-        np.copyto(matrix, point.base)
-        np.copyto(rhs, point.rhs_point)
-        gmin = point.gmin
-        mf = self._matrix_flat
-        key: Optional[object] = None
-        if self._batched:
-            vals = self._nl_vals
-            for fill in self._fillers:
-                fill(x, vals, gmin, point)
-            nl_key = b""
-            if vals:
-                v = np.array(vals)
-                np.add.at(mf, self._m_idx, v[self._m_slot] * self._m_sign)
-                np.add.at(rhs, self._r_idx, v[self._r_slot] * self._r_sign)
-                nl_key = v.tobytes()
-            if self._lu_inputs_key:
-                key = (point.base_key, point.extra_gmin, nl_key)
-        else:
-            for stamp in self._stampers:
-                stamp(x, mf, rhs, gmin, point)
-        if point.extra_gmin > 0.0:
-            mf[self._diag_flat] += point.extra_gmin
-        return self._solve(matrix, rhs, key)
+    def _assemble(self, point: _SolvePoint,
+                  x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Assemble one Newton iterate at ``x`` into ``(values, rhs)``.
 
-    def _solve_iterate_sparse(self, point: _SolvePoint,
-                              x: np.ndarray) -> np.ndarray:
-        """Sparse twin of :meth:`solve_iterate`.
-
-        Assembly scatters straight into the frozen pattern-value array
-        (a copy of the gathered linear base, nnz-sized — no O(n²)
-        matrix copy anywhere on this path).  Sparse plans are always
-        fully compiled, so the LU content key is always inputs-mode.
+        Both are the plan's persistent buffers: the dense matrix viewed
+        flat (or the sparse pattern values) and the RHS vector.
         """
-        vals = self._sparse_base(point).copy()
-        rhs = self._rhs
+        values, rhs = self._values, self._rhs
+        np.copyto(values, point.base)
         np.copyto(rhs, point.rhs_point)
-        gmin = point.gmin
-        nl_key = b""
         if self._fillers:
             nl_vals = self._nl_vals
+            gmin = point.gmin
             for fill in self._fillers:
-                fill(x, nl_vals, gmin, point)
+                fill(x, nl_vals, gmin)
             v = np.array(nl_vals)
-            np.add.at(vals, self._sp_m_pos, v[self._m_slot] * self._m_sign)
+            np.add.at(values, self._m_pos, v[self._m_slot] * self._m_sign)
             np.add.at(rhs, self._r_idx, v[self._r_slot] * self._r_sign)
-            nl_key = v.tobytes()
         if point.extra_gmin > 0.0:
-            vals[self._sp_diag_pos] += point.extra_gmin
-        key = (point.base_key, point.extra_gmin, nl_key)
+            values[self._diag_pos] += point.extra_gmin
+        return values, rhs
+
+    def solve_iterate(self, point: _SolvePoint, x: np.ndarray) -> np.ndarray:
+        """Assemble, factor and solve one Newton iterate at ``x``."""
+        values, rhs = self._assemble(point, x)
         sparse = self._sparse
-        factors = self._lu_cache.get(key)
-        if factors is not None:
-            self._note_solve(reused=True)
-        else:
-            try:
-                factors = sparse.factorize(vals)
-            except np.linalg.LinAlgError as exc:
-                raise self.system.singular_error() from exc
-            self._lu_cache.put(key, factors)
-            self._note_solve(reused=False)
-        return sparse.solve(factors, rhs)
-
-    def _sparse_base(self, point: _SolvePoint) -> np.ndarray:
-        """The linear base gathered into pattern order, cached per key."""
-        vals = self._sp_bases.get(point.base_key)
-        if vals is None:
-            if len(self._sp_bases) >= _MAX_BASES:
-                self._sp_bases.pop(next(iter(self._sp_bases)))
-            vals = point.base.ravel()[self._sparse.flat]
-            self._sp_bases[point.base_key] = vals
-        return vals
-
-    def _solve(self, matrix: np.ndarray, rhs: np.ndarray,
-               key: Optional[object] = None) -> np.ndarray:
-        # Content keying: stricter than element-wise equality (-0.0 and
-        # +0.0 get distinct factorisations, so a reuse can never shift
-        # even the sign of a zero in the solution).  Inputs-mode keys
-        # (base key, extra_gmin, nonlinear-value bytes) arrive from
-        # solve_iterate and are sound because assembly is deterministic:
-        # equal inputs produce a byte-equal matrix.  Without one, fall
-        # back to hashing the full matrix content.
-        if key is None:
-            key = matrix.tobytes()
-        factors = self._lu_cache.get(key)
-        if factors is not None:
-            self._note_solve(reused=True)
-        else:
-            try:
-                factors = linalg.lu_factorize(matrix)
-            except np.linalg.LinAlgError as exc:
-                raise self.system.singular_error() from exc
-            self._lu_cache.put(key, factors)
-            self._note_solve(reused=False)
+        try:
+            if sparse is not None:
+                return sparse.solve(sparse.factorize(values), rhs)
+            factors = linalg.lu_factorize(self._matrix)
+        except np.linalg.LinAlgError as exc:
+            raise self.system.singular_error() from exc
         return linalg.lu_backsolve(factors, rhs)
-
-    def _note_solve(self, reused: bool) -> None:
-        """Count one solve in the reuse/refactor split and the window."""
-        if reused:
-            obs.metrics().counter("spice.lu.reuse").inc()
-            self._lu_window_reuses += 1
-        else:
-            obs.metrics().counter("spice.lu.refactor").inc()
-        self._lu_solves += 1
-        self._lu_window_solves += 1
-        if self._lu_window_solves >= _LU_SAMPLE_WINDOW:
-            if obs.is_enabled():
-                obs.timeseries().series("spice.lu.reuse_ratio").sample(
-                    self._lu_solves,
-                    self._lu_window_reuses / self._lu_window_solves)
-            self._lu_window_solves = 0
-            self._lu_window_reuses = 0
-
-
-def _direct_adapter(fill: Callable, n_slots: int,
-                    m_writes: List[Tuple[int, int, float]],
-                    r_writes: List[Tuple[int, int, float]]) -> _Stamper:
-    """Wrap a value filler as a direct-write stamper.
-
-    Used only on plans that also carry generic-fallback elements, where
-    writes must interleave per element in canonical order instead of
-    scattering once per iterate.
-    """
-    tmp = [0.0] * n_slots
-
-    def stamp(x, mf, rhs, gmin, point):
-        fill(x, tmp, gmin, point)
-        for flat, slot, sign in m_writes:
-            mf[flat] += sign * tmp[slot]
-        for idx, slot, sign in r_writes:
-            rhs[idx] += sign * tmp[slot]
-
-    return stamp
 
 
 def _pattern_couple(pattern: set, ia: int, ib: int, size: int) -> None:
@@ -914,8 +691,8 @@ def _mosfet_constants(element: MosfetElement) -> Tuple[float, ...]:
 
     The ``params`` property chain costs two dict lookups per call on
     the legacy path; here it is paid once at compile time.  Shared by
-    :func:`_compile_mosfet_magnitude` and the inlined copies inside
-    :meth:`StampPlan._compile_mosfet`.
+    :meth:`StampPlan._compile_mosfet` and the batched MOSFET group of
+    :mod:`repro.spice.batch`.
     """
     device = element.device
     p = device.params
@@ -925,73 +702,3 @@ def _mosfet_constants(element: MosfetElement) -> Tuple[float, ...]:
             max(0.05, p.vth - p.dibl * device.node.vdd),
             p.i_off * device.width / device.length_factor,
             (p.k_sat / device.length_factor) * device.width)
-
-
-def _compile_mosfet_magnitude(element: MosfetElement
-                              ) -> Callable[[float, float], float]:
-    """Specialised twin of :meth:`repro.tech.transistor.Mosfet.drain_current`.
-
-    Keeps the *same expression trees and evaluation order* as the
-    original, so the returned values are bit-identical.  The
-    ``max``/``min`` builtin calls become branches that select the
-    identical float (including the builtins' first-argument NaN
-    behaviour); the body-effect term is dropped because the element
-    always passes vsb=0, where it is exactly zero.
-    ``tests/spice/test_stampplan.py`` sweeps the terminal space to hold
-    this twin to the element's own ``current()``.
-    """
-    (vth0, dibl, alpha, swing, vt_thermal, five_vt,
-     vth_at_ioff, sub_scale, drive_width) = _mosfet_constants(element)
-    exp = math.exp
-
-    def magnitude(vgs: float, vds: float) -> float:
-        if vds < 0:
-            raise ConfigurationError("drain_current expects vds magnitude >= 0")
-        # The branches replicate builtin max()/min() exactly, including
-        # their first-argument NaN behaviour (max(a, b) is "b if b > a
-        # else a"), so divergent NaN iterates follow the legacy path.
-        vth = vth0 - dibl * abs(vds)
-        vth = vth if vth > 0.05 else 0.05  # max(0.05, vth)
-        vod = vgs - vth
-        vgs_c = vth if vth < vgs else vgs  # min(vgs, vth)
-        exponent = (vgs_c - (vth - vth_at_ioff)) / swing
-        i_sub = sub_scale * 10.0 ** exponent
-        if vds < five_vt:
-            i_sub *= 1.0 - exp(-vds / vt_thermal)
-        if vod <= 0:
-            return i_sub
-        i_dsat = drive_width * vod ** alpha
-        vdsat = 0.5 * vod
-        vdsat = vdsat if vdsat > 0.05 else 0.05  # max(0.05, vdsat)
-        if vds >= vdsat:
-            i_strong = i_dsat * (1.0 + 0.05 * (vds - vdsat))
-        else:
-            ratio = vds / vdsat
-            i_strong = i_dsat * ratio * (2.0 - ratio)
-        return i_strong + i_sub
-
-    return magnitude
-
-
-def _compile_mosfet_current(element: MosfetElement
-                            ) -> Callable[[float, float, float], float]:
-    """Specialised twin of :meth:`MosfetElement.current`.
-
-    The compiled stamper inlines this direction dispatch at each of its
-    three drain-current evaluations; this wrapper exists for DC-sweep
-    equivalence tests against the element's own ``current()``.
-    """
-    magnitude = _compile_mosfet_magnitude(element)
-
-    if element.device.polarity is Polarity.NMOS:
-        def current(v_d: float, v_g: float, v_s: float) -> float:
-            if v_d >= v_s:
-                return magnitude(v_g - v_s, v_d - v_s)
-            return -magnitude(v_g - v_d, v_s - v_d)
-    else:
-        def current(v_d: float, v_g: float, v_s: float) -> float:
-            if v_s >= v_d:
-                return -magnitude(v_s - v_g, v_s - v_d)
-            return magnitude(v_d - v_g, v_d - v_s)
-
-    return current

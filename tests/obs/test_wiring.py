@@ -62,9 +62,8 @@ class TestSpiceWiring:
         assert snap["counters"]["spice.timesteps"] == 100
         hist = snap["histograms"]["spice.newton.iterations"]
         assert hist["count"] == 100  # one observation per output timestep
-        # The LU cache counters split every fast-path solve.
-        assert (snap["counters"].get("spice.lu.reuse", 0)
-                + snap["counters"].get("spice.lu.refactor", 0)) > 0
+        # The default "auto" backend records its kernel choice.
+        assert snap["counters"]["spice.sparse.auto.dense"] == 1
 
     def test_convergence_error_carries_diagnostics(self):
         exc = ConvergenceError("Newton failed", time=1.5e-9,
