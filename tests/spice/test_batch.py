@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.cells.dram1t1c import Dram1t1cCell
 from repro.errors import (ConfigurationError, ConvergenceError, ReproError,
                           SimulationError)
 from repro.spice import (
@@ -33,6 +34,8 @@ from repro.spice import (
     simulate_transient_batch,
 )
 from repro.spice.recovery import RecoveryConfig
+from repro.units import ns
+from repro.variability.localblock_mc import LocalBlockMcModel
 
 T_STOP = 2e-10
 DT = 1e-11
@@ -247,6 +250,28 @@ class TestEvalModelBatch:
         assert all(not ok for ok, _ in outcomes)
         assert all(isinstance(payload, SimulationError)
                    for _, payload in outcomes)
+
+    def test_damping_telemetry_matches_serial(self):
+        """Samples that damp and still converge in the batch report the
+        same ``spice.damping_events`` total and ``spice.newton.damped``
+        events as their serial runs."""
+        model = LocalBlockMcModel(Dram1t1cCell.scratchpad(),
+                                  t_stop=0.2 * ns)
+
+        def telemetry(run):
+            with obs.instrumented() as registry:
+                run(model, self._rngs(4, seed=2009))
+                damped = sorted(
+                    (e.payload["time"], e.payload["events"])
+                    for e in obs.events().events()
+                    if e.kind == "spice.newton.damped")
+            assert registry.counter("spice.batch.ejected").value == 0
+            return registry.counter("spice.damping_events").value, damped
+
+        batched = telemetry(eval_model_batch)
+        serial = telemetry(lambda m, rngs: [m(rng) for rng in rngs])
+        assert batched == serial
+        assert batched[0] > 0  # the workload does damp
 
 
 class TestBatchProperty:
