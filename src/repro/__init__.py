@@ -20,7 +20,7 @@ Subpackages
     Substrates: cells, 90 nm device/wire models, the MNA circuit
     simulator, Monte-Carlo machinery.
 ``repro.refresh``
-    Cycle-level refresh/access interference simulation (paper Fig. 5).
+    Cycle-exact refresh/access interference simulation (paper Fig. 5).
 ``repro.sramref``
     The ESSCIRC'08 SRAM baseline.
 ``repro.stack3d`` / ``repro.cache``

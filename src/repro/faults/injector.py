@@ -7,7 +7,7 @@ becomes a zero-duration no-op — the schedule slot passes but the row is
 never restored, a data-loss event every period — and a *late* refresh
 (slow charge pump) starts ``delay_cycles`` after its slot, widening the
 window it collides with accesses.  The interference simulator detects
-the wrapper by its ``fault_kind`` method and reports
+the wrapper by its ``faults`` method and reports
 dropped/late/data-loss counts in its stats.
 
 :class:`CacheFaultModel` carries one macro's post-repair degraded-mode
@@ -19,11 +19,15 @@ rows are counted as corrected errors.
 from __future__ import annotations
 
 import dataclasses
+import functools
+from typing import Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.faults.repair import DegradedMacroReport
-from repro.refresh.controller import RefreshOperation, RefreshPolicy
+from repro.refresh.controller import RefreshPolicy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,27 +79,39 @@ class FaultyRefreshPolicy:
 
     # -- fault injection ------------------------------------------------------
 
+    @functools.cached_property
+    def _row_faults(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row drop mask, late mask and delay, built once."""
+        dropped = np.zeros(self.total_rows, dtype=bool)
+        dropped[sorted(self.plan.dropped_rows())] = True
+        late = np.zeros(self.total_rows, dtype=bool)
+        delay = np.zeros(self.total_rows, dtype=np.int64)
+        for row, cycles in self.plan.late_rows().items():
+            late[row], delay[row] = True, cycles
+        late[dropped], delay[dropped] = False, 0  # a drop wins
+        return dropped, late, delay
+
+    def faults(self, first: int, count: int) -> Tuple[np.ndarray, ...]:
+        """``(dropped, late, delay)`` of refreshes ``first`` onwards."""
+        rows = np.arange(first, first + count) % self.total_rows
+        return tuple(per_row[rows] for per_row in self._row_faults)
+
     def fault_kind(self, index: int) -> "str | None":
         """The fault affecting the ``index``-th scheduled refresh."""
-        row = index % self.total_rows
-        if row in self.plan.dropped_rows():
-            return "drop"
-        if row in self.plan.late_rows():
-            return "late"
-        return None
+        drop, late, _ = self.faults(index, 1)
+        return "drop" if drop[0] else "late" if late[0] else None
 
-    def refresh_starting_at(self, index: int) -> RefreshOperation:
-        op = self.base.refresh_starting_at(index)
-        kind = self.fault_kind(index)
-        if kind == "drop":
-            # The slot passes but nothing happens: zero duration blocks
-            # no access — and the row is never restored.
-            return dataclasses.replace(op, duration=0)
-        if kind == "late":
-            delay = self.plan.late_rows()[index % self.total_rows]
-            return dataclasses.replace(op,
-                                       start_cycle=op.start_cycle + delay)
-        return op
+    def schedule(self, first: int,
+                 count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The base schedule with the faults applied: a dropped slot
+        passes with zero duration (it blocks no access, and the row is
+        never restored); a late one starts its delay later."""
+        start, duration, block = self.base.schedule(first, count)
+        drop, _, delay = self.faults(first, count)
+        duration[drop] = 0
+        return start + delay, duration, block
+
+    refresh_starting_at = RefreshPolicy.refresh_starting_at
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Cycle-level refresh/access interference simulation (paper Fig. 5).
+"""Cycle-exact refresh/access interference simulation (paper Fig. 5).
 
 The paper's localized refresh turns refresh from a whole-memory stall
 into a per-local-block affair that runs concurrently with accesses to
@@ -7,8 +7,8 @@ other blocks.  This package quantifies the difference:
 * :mod:`repro.refresh.traces` — access-stream generators,
 * :mod:`repro.refresh.controller` — monoblock vs localized refresh
   scheduling policies,
-* :mod:`repro.refresh.simulator` — the cycle-accurate simulator that
-  produces the busy-cycle percentages of Fig. 5.
+* :mod:`repro.refresh.simulator` — the access-driven, cycle-exact
+  simulator that produces the busy-cycle percentages of Fig. 5.
 """
 
 from repro.refresh.traces import (

@@ -13,6 +13,9 @@ scheme).  The two policies differ in *what an ongoing refresh blocks*:
 from __future__ import annotations
 
 import dataclasses
+from typing import Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -75,17 +78,28 @@ class RefreshPolicy:
         refreshes then overlap back-to-back and the memory saturates)."""
         return self.refresh_period_cycles / self.total_rows
 
-    def refresh_starting_at(self, index: int) -> RefreshOperation:
-        """The ``index``-th row refresh of the schedule."""
-        start = int(round(index * self.interval_cycles))
-        row = index % self.total_rows
-        return RefreshOperation(
-            start_cycle=start,
-            duration=self.refresh_duration_cycles,
-            block=self._blocked_scope(row),
-        )
+    def schedule(self, first: int,
+                 count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Refreshes ``first .. first + count - 1`` as int64 arrays.
 
-    def _blocked_scope(self, row: int) -> int | None:
+        Returns ``(start, duration, block)``; block -1 blocks the whole
+        memory.  Starts are ``rint(i * interval)``, which rounds half to
+        even exactly like ``round()``.
+        """
+        index = np.arange(first, first + count, dtype=np.int64)
+        start = np.rint(index * self.interval_cycles).astype(np.int64)
+        duration = np.full(count, self.refresh_duration_cycles, np.int64)
+        return start, duration, self._scope(index % self.total_rows)
+
+    def refresh_starting_at(self, index: int) -> RefreshOperation:
+        """The ``index``-th row refresh of the schedule (one row of
+        :meth:`schedule`)."""
+        start, duration, block = (int(v[0]) for v in self.schedule(index, 1))
+        return RefreshOperation(start_cycle=start, duration=duration,
+                                block=None if block < 0 else block)
+
+    def _scope(self, rows: np.ndarray) -> np.ndarray:
+        """Blocked local block per row (-1 = whole memory)."""
         raise NotImplementedError
 
     def utilisation(self) -> float:
@@ -97,8 +111,8 @@ class RefreshPolicy:
 class MonoblockRefresh(RefreshPolicy):
     """Refresh blocks the entire memory (conventional DRAM)."""
 
-    def _blocked_scope(self, row: int) -> int | None:
-        return None
+    def _scope(self, rows: np.ndarray) -> np.ndarray:
+        return np.full(len(rows), -1, np.int64)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,5 +124,5 @@ class LocalizedRefresh(RefreshPolicy):
     maximises the window other blocks stay accessible.
     """
 
-    def _blocked_scope(self, row: int) -> int | None:
-        return row // self.rows_per_block
+    def _scope(self, rows: np.ndarray) -> np.ndarray:
+        return rows // self.rows_per_block

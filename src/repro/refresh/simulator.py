@@ -1,10 +1,16 @@
-"""Cycle-accurate refresh/access interference simulator (paper Fig. 5).
+"""Refresh/access interference simulator (paper Fig. 5).
 
 The memory is single-ported per local block.  Each trace cycle may issue
 one access; if the targeted scope is refreshing, the access stalls (it
 and everything behind it wait — an in-order memory port).  The reported
 ``busy_fraction`` is the fraction of cycles lost to refresh-induced
 stalls, the paper's "percentage of busy cycles due to refresh".
+
+The walk steps from access to access, yet stays cycle-exact.  Refresh
+``k`` activates at ``act_k = max(start_k, end_{k-1}, act_{k-1} + 1)``
+(one start per cycle, none before the previous one ends) and blocks
+``[act_k, end_k)``.  An access issues at ``max(arrival, previous + 1)``
+and waits out each activated refresh that blocks its block.
 
 ``analytic_busy_fraction`` gives the closed-form expectation for uniform
 random traffic; tests cross-check the simulator against it.
@@ -13,33 +19,35 @@ random traffic; tests cross-check the simulator against it.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError, SimulationError
-from repro.refresh.controller import RefreshOperation, RefreshPolicy
+from repro.refresh.controller import RefreshPolicy
 from repro.refresh.traces import IDLE
 
 _log = logging.getLogger(__name__)
 
-#: Cycles per busy-fraction telemetry sample (window width).  Wide
-#: enough that the enabled-path sampler call amortises to noise over
-#: the cycle loop; the series' own decimation bounds memory after that.
+#: Cycles per busy-fraction telemetry sample: the walk bins its stalled
+#: cycle spans into windows after the run, one sample per full window.
 _BUSY_SAMPLE_WINDOW = 4096
+
+#: Refreshes (and accesses) the walk holds as Python lists at a time.
+_CHUNK = 1024
 
 
 @dataclasses.dataclass(frozen=True)
 class SimulationStats:
     """Outcome of one refresh-interference simulation.
 
-    The fault counters stay zero for a healthy policy; they fill in
-    when the policy is a
+    The fault counters fill in under a
     :class:`~repro.faults.injector.FaultyRefreshPolicy`.  A dropped
-    refresh never restores its row, so every one is also a data-loss
-    event (the row decays past the readable margin before its next
-    slot).
+    refresh never restores its row (it decays past the readable margin
+    before its next slot), so every drop is also a data-loss event.
     """
 
     total_cycles: int
@@ -77,12 +85,10 @@ class SimulationStats:
         definition, even if refreshes were issued:
 
         >>> SimulationStats(total_cycles=100, accesses=0, completed=0,
-        ...                 stall_cycles=0, refreshes_issued=5
-        ...                 ).access_delay_ratio
+        ...                 stall_cycles=0, refreshes_issued=5).access_delay_ratio
         0.0
         >>> SimulationStats(total_cycles=100, accesses=10, completed=10,
-        ...                 stall_cycles=5, refreshes_issued=3
-        ...                 ).access_delay_ratio
+        ...                 stall_cycles=5, refreshes_issued=3).access_delay_ratio
         0.5
         """
         if self.accesses == 0:
@@ -97,17 +103,13 @@ class RefreshSimulator:
     policy: RefreshPolicy
 
     def run(self, trace: np.ndarray) -> SimulationStats:
-        """Simulate ``trace`` and count refresh-induced stall cycles.
-
-        The access stream is in order: a stalled access keeps retrying
-        on subsequent cycles and pushes later trace accesses back.
-        """
-        if trace.ndim != 1:
-            raise SimulationError("trace must be one-dimensional")
+        """Simulate ``trace`` and count refresh-induced stall cycles (in
+        order: a stalled access pushes the later accesses back)."""
+        if trace.ndim != 1 or not np.issubdtype(trace.dtype, np.integer):
+            raise SimulationError("trace must be a 1-D integer block array")
         policy = self.policy
         scope = type(policy).__name__
-        with obs.span("refresh.run", policy=scope,
-                      n_blocks=policy.n_blocks, cycles=len(trace)):
+        with obs.span("refresh.run", policy=scope, n_blocks=policy.n_blocks, cycles=len(trace)):
             stats = self._run(trace)
         m = obs.metrics()
         m.counter("refresh.runs").inc()
@@ -119,95 +121,97 @@ class RefreshSimulator:
         if stats.dropped_refreshes or stats.late_refreshes:
             m.counter("refresh.dropped").inc(stats.dropped_refreshes)
             m.counter("refresh.late").inc(stats.late_refreshes)
-            m.counter("refresh.data_loss_events").inc(
-                stats.data_loss_events)
-        _log.debug("refresh run (%s): %d cycles, %d stalls, %d refreshes",
-                   scope, stats.total_cycles, stats.stall_cycles,
-                   stats.refreshes_issued)
+            m.counter("refresh.data_loss_events").inc(stats.data_loss_events)
+        _log.debug("refresh run (%s): %d cycles, %d stalls, %d refreshes", scope,
+                   stats.total_cycles, stats.stall_cycles, stats.refreshes_issued)
         return stats
 
     def _run(self, trace: np.ndarray) -> SimulationStats:
         policy = self.policy
-        n_cycles = len(trace)
-        pending = [int(b) for b in trace if b != IDLE]
-        arrival = [i for i, b in enumerate(trace) if b != IDLE]
-        if any(not 0 <= b < policy.n_blocks for b in pending):
+        arrival = np.flatnonzero(trace != IDLE)
+        if ((trace < IDLE) | (trace >= policy.n_blocks)).any():
             raise SimulationError("trace targets a block outside the matrix")
-
-        fault_kind = getattr(policy, "fault_kind", None)
-        refresh_index = 0
-        active: RefreshOperation | None = None
-        stall_cycles = 0
-        completed = 0
-        dropped = 0
-        late = 0
-        queue_pos = 0
-        cycle = 0
-        # Hoisted once per run: the disabled path pays one None check
-        # per cycle, never a sampler call.
-        if obs.is_enabled():
-            busy_series = obs.timeseries().series("refresh.busy_fraction")
-        else:
-            busy_series = None
-        window_stalls = 0
-        next_sample = _BUSY_SAMPLE_WINDOW
-        # The simulation must drain the queue even past the trace end.
-        horizon = n_cycles + 10 * policy.refresh_duration_cycles * (
-            1 + len(pending))
-        while queue_pos < len(pending) and cycle < horizon:
-            if busy_series is not None and cycle >= next_sample:
-                busy_series.sample(
-                    cycle,
-                    (stall_cycles - window_stalls) / _BUSY_SAMPLE_WINDOW)
-                window_stalls = stall_cycles
-                next_sample += _BUSY_SAMPLE_WINDOW
-            # Advance the refresh schedule.
-            next_op = policy.refresh_starting_at(refresh_index)
-            if active is not None and cycle >= active.end_cycle:
-                active = None
-            if active is None and cycle >= next_op.start_cycle:
-                active = next_op
-                if fault_kind is not None:
-                    kind = fault_kind(refresh_index)
-                    if kind == "drop":
-                        dropped += 1
-                        obs.event("refresh.dropped", index=refresh_index,
-                                  cycle=cycle)
-                    elif kind == "late":
-                        late += 1
-                        obs.event("refresh.late_start", index=refresh_index,
-                                  cycle=cycle)
-                refresh_index += 1
-            # Serve the head access if it has arrived.
-            if arrival[queue_pos] > cycle:
-                cycle += 1
-                continue
-            block = pending[queue_pos]
-            if active is not None and active.blocks_access(cycle, block):
-                stall_cycles += 1
-            else:
-                completed += 1
-                queue_pos += 1
-            cycle += 1
-        if queue_pos < len(pending):
+        # An access still waiting at this cycle means saturation.
+        horizon = len(trace) + 10 * policy.refresh_duration_cycles * (1 + len(arrival))
+        spans: Optional[List[int]] = [] if obs.is_enabled() else None
+        chunks = _activations(policy)
+        base, act, end, scope = next(chunks)
+        j, t, stall_cycles = 0, -1, 0  # act[j]: latest activation <= t
+        accesses = itertools.chain.from_iterable(  # lists of bounded size
+            zip(arrival[i:i + _CHUNK].tolist(), trace[arrival[i:i + _CHUNK]].tolist())
+            for i in range(0, len(arrival), _CHUNK))
+        for a, b in accesses:
+            t = t0 = a if a > t else t + 1
+            while t < horizon:
+                while act[j + 1] <= t:
+                    j += 1
+                    if j == _CHUNK:
+                        base, act, end, scope = next(chunks)
+                        j = 0
+                if t < end[j] and (scope[j] < 0 or scope[j] == b):
+                    t = min(end[j], horizon)
+                else:
+                    break
+            stall_cycles += t - t0
+            if spans is not None and t > t0:
+                spans += (t0, t)
+            if t == horizon:
+                break
+        if spans is not None:
+            _sample_busy(spans, min(t, horizon - 1))
+        if t == horizon:
             raise SimulationError(
-                "memory saturated: refresh load exceeds available cycles "
-                f"(period {policy.refresh_period_cycles} cycles for "
-                f"{policy.total_rows} rows)"
-            )
+                "memory saturated: refresh load exceeds available cycles (period "
+                f"{policy.refresh_period_cycles} cycles for {policy.total_rows} rows)")
+        issued = base + j + 1
+        dropped, late = _fault_events(policy, issued)
         return SimulationStats(
-            total_cycles=max(n_cycles, cycle),
-            accesses=len(pending),
-            completed=completed,
-            stall_cycles=stall_cycles,
-            refreshes_issued=refresh_index,
-            dropped_refreshes=dropped,
-            late_refreshes=late,
-            # A dropped refresh never restores its row: the stored
-            # level decays past the readable margin before the next
-            # slot, so every drop is one data-loss event.
-            data_loss_events=dropped,
-        )
+            total_cycles=max(len(trace), t + 1), accesses=len(arrival),
+            completed=len(arrival), stall_cycles=stall_cycles,
+            refreshes_issued=issued, dropped_refreshes=dropped,
+            late_refreshes=late, data_loss_events=dropped)
+
+
+def _activations(policy) -> Iterator[Tuple[int, list, list, list]]:
+    """Yield the schedule ``_CHUNK`` refreshes at a time: lists led by
+    refresh ``base`` (the one before the chunk; first a blank sentinel).
+    ``act_k - k`` is a running max, so a chunk needs one prefix max."""
+    base, act, end, scope = -1 - _CHUNK, [-1], [0], [-1]
+    while True:
+        base += _CHUNK
+        start, duration, block = policy.schedule(base + 1, _CHUNK)
+        index = np.arange(base + 1, base + 1 + _CHUNK)
+        stop = start + duration
+        lag = np.maximum(start, np.append(end[-1], stop[:-1])) - index
+        lag[0] = max(lag[0], act[-1] - base)
+        act = [act[-1]] + (index + np.maximum.accumulate(lag)).tolist()
+        end, scope = [end[-1]] + stop.tolist(), [scope[-1]] + block.tolist()
+        yield base, act, end, scope
+
+
+def _sample_busy(spans: List[int], last_cycle: int) -> None:
+    """Busy samples up to ``last_cycle`` from flat ``[begin, end)`` spans."""
+    edges = np.arange(_BUSY_SAMPLE_WINDOW, last_cycle + 1, _BUSY_SAMPLE_WINDOW)
+    xp = np.array(spans or [0, 0])
+    stalled_before = np.cumsum(np.diff(xp, prepend=0) * (np.arange(len(xp)) % 2))
+    per_window = np.diff(np.interp(edges, xp, stalled_before), prepend=0.0)
+    series = obs.timeseries().series("refresh.busy_fraction")
+    for cycle, stalls in zip(edges.tolist(), per_window.tolist()):
+        series.sample(cycle, stalls / _BUSY_SAMPLE_WINDOW)
+
+
+def _fault_events(policy, issued: int) -> Tuple[int, int]:
+    """Count (and emit) the dropped and late refreshes among ``issued``."""
+    faults = getattr(policy, "faults", None)
+    n_chunks = 0 if faults is None else -(-issued // _CHUNK)
+    dropped = late = 0
+    for base, act, _, _ in itertools.islice(_activations(policy), n_chunks):
+        drop, slow, _ = faults(base + 1, min(_CHUNK, issued - base - 1))
+        for pos in np.flatnonzero(drop | slow).tolist():
+            kind = "dropped" if drop[pos] else "late_start"
+            obs.event(f"refresh.{kind}", index=base + 1 + pos, cycle=act[pos + 1])
+        dropped, late = dropped + int(drop.sum()), late + int(slow.sum())
+    return dropped, late
 
 
 def analytic_busy_fraction(policy: RefreshPolicy, activity: float) -> float:
@@ -221,11 +225,7 @@ def analytic_busy_fraction(policy: RefreshPolicy, activity: float) -> float:
     """
     if not 0.0 <= activity <= 1.0:
         raise ConfigurationError("activity must lie in [0, 1]")
-    utilisation = policy.utilisation()
-    hit_probability = utilisation
-    scope_blocks = policy.n_blocks
-    blocked_whole_memory = policy.refresh_starting_at(0).block is None
-    if not blocked_whole_memory:
-        hit_probability = utilisation / scope_blocks
-    mean_stall = 0.5 * policy.refresh_duration_cycles
-    return activity * hit_probability * mean_stall
+    hit_probability = policy.utilisation()
+    if policy.refresh_starting_at(0).block is not None:
+        hit_probability /= policy.n_blocks
+    return activity * hit_probability * (0.5 * policy.refresh_duration_cycles)

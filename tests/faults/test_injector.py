@@ -8,6 +8,8 @@ the simulation — every trace drains.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,42 @@ class TestScheduleRewriting:
         base_op = policy().refresh_starting_at(5)
         assert wrapped.refresh_starting_at(5).start_cycle == \
             base_op.start_cycle + 17
+
+    def test_schedule_applies_the_plan(self):
+        plan = generate_fault_plan(
+            seed=3, n_blocks=N_BLOCKS, rows_per_block=ROWS,
+            weak_cell_fraction=0.0, stuck_bit_fraction=0.0,
+            sa_outlier_fraction=0.0, refresh_drop_fraction=0.1,
+            refresh_late_fraction=0.2)
+        wrapped = faulty(plan)
+        total = N_BLOCKS * ROWS
+        dropped, late = plan.dropped_rows(), plan.late_rows()
+        assert dropped and late
+        start, duration, block = wrapped.schedule(5, 3 * total)
+        healthy = policy().schedule(5, 3 * total)
+        for k, i in enumerate(range(5, 5 + 3 * total)):
+            row = i % total
+            assert start[k] == healthy[0][k] + late.get(row, 0)
+            assert duration[k] == (0 if row in dropped else healthy[1][k])
+            assert block[k] == healthy[2][k]
+            assert wrapped.fault_kind(i) == (
+                "drop" if row in dropped else "late" if row in late
+                else None)
+
+    def test_fault_lookups_built_once_per_policy(self):
+        wrapped = faulty(generate_fault_plan(
+            seed=3, n_blocks=N_BLOCKS, rows_per_block=ROWS,
+            refresh_drop_fraction=0.1, refresh_late_fraction=0.2))
+        with mock.patch.object(FaultPlan, "dropped_rows", autospec=True,
+                               side_effect=FaultPlan.dropped_rows) as drops, \
+                mock.patch.object(FaultPlan, "late_rows", autospec=True,
+                                  side_effect=FaultPlan.late_rows) as lates:
+            for i in range(200):
+                wrapped.fault_kind(i)
+                wrapped.refresh_starting_at(i)
+            wrapped.schedule(0, 4096)
+            RefreshSimulator(wrapped).run(trace())
+        assert (drops.call_count, lates.call_count) == (1, 1)
 
     def test_geometry_delegates_to_base(self):
         wrapped = faulty(drop_plan(0.1))

@@ -42,6 +42,23 @@ class TestSchedule:
     def test_utilisation_band(self, localized):
         assert 0 < localized.utilisation() < 0.1
 
+    def test_schedule_rounds_half_to_even_like_round(self):
+        # interval 2.5: every odd slot lands on a .5 tie.
+        policy = MonoblockRefresh(n_blocks=2, rows_per_block=2,
+                                  refresh_period_cycles=10)
+        start, duration, block = policy.schedule(3, 40)
+        assert start.tolist() == [round(i * 2.5) for i in range(3, 43)]
+        assert duration.tolist() == [2] * 40
+        assert block.tolist() == [-1] * 40
+
+    def test_schedule_rows_match_refresh_starting_at(self, localized):
+        start, duration, block = localized.schedule(4090, 12)
+        for k, i in enumerate(range(4090, 4102)):
+            op = localized.refresh_starting_at(i)
+            assert (start[k], duration[k], block[k]) == (
+                op.start_cycle, op.duration, op.block)
+            assert op.start_cycle == round(i * localized.interval_cycles)
+
 
 class TestScopes:
     def test_monoblock_blocks_everything(self, monoblock):
