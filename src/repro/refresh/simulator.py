@@ -159,12 +159,14 @@ class RefreshSimulator:
                 break
         if spans is not None:
             _sample_busy(spans, min(t, horizon - 1))
+        # A saturated run still reports the faults of the refreshes it
+        # started before the horizon.
+        issued = base + j + 1
+        dropped, late = _fault_events(policy, issued)
         if t == horizon:
             raise SimulationError(
                 "memory saturated: refresh load exceeds available cycles (period "
                 f"{policy.refresh_period_cycles} cycles for {policy.total_rows} rows)")
-        issued = base + j + 1
-        dropped, late = _fault_events(policy, issued)
         return SimulationStats(
             total_cycles=max(len(trace), t + 1), accesses=len(arrival),
             completed=len(arrival), stall_cycles=stall_cycles,

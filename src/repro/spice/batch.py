@@ -7,9 +7,11 @@ still pays a full Python Newton loop.  This module stacks **B**
 parameter-perturbed instances of one topology on a shared sample axis
 and advances them through one vectorised Newton loop:
 
-* the per-sample linear bases become a ``(B, n, n)`` stack, sliced to
-  the live rows once per step and copied per iterate (the batched twin
-  of the scalar plan's ``np.copyto`` from its cached base);
+* the per-sample linear bases become a stack in the scalar plan's
+  value layout — ``(B, n, n)`` matrices on the dense backend,
+  ``(B, nnz)`` values on the frozen sparse pattern — sliced to the
+  live rows once per step and copied per iterate (the batched twin of
+  the scalar plan's ``np.copyto`` from its cached base);
 * the nonlinear companion values are computed by *group fillers* —
   one vectorised evaluator per element class over element-major
   ``(E, L)`` arrays, with the MOSFET model's three finite-difference
@@ -17,16 +19,20 @@ and advances them through one vectorised Newton loop:
   per iterate, each writing one contiguous block of a slot-major value
   array — and scattered into the matrix stack over precomputed
   row-offset flat indices, stable-partitioned into a unique-destination
-  prefix (plain
-  fancy ``+=``, no collision possible) and a shared-destination
-  remainder (unbuffered ``np.add.at``, which preserves each cell's
-  accumulation order; see below);
-* the linear solve loops LAPACK's fused factor+solve over every live
-  row (:func:`repro.spice.linalg.solve_rows_t_into`), in place in the
-  per-live-count scratch stack; it stays per-sample because a
+  prefix (plain fancy ``+=``, no collision possible) and a
+  shared-destination remainder (unbuffered ``np.add.at``, which
+  preserves each cell's accumulation order; see below);
+* the dense linear solve loops LAPACK's fused factor+solve over every
+  live row (:func:`repro.spice.linalg.solve_rows_t_into`), in place in
+  the per-live-count scratch stack; it stays per-sample because a
   vectorised triangular solve would change BLAS reduction order, and
   ``dgesv`` *is* ``dgetrf`` + ``dgetrs``, so each row solves to the
-  scalar plan's bits.
+  scalar plan's bits;
+* the sparse linear solve runs every live row through one level
+  schedule (:meth:`repro.spice.sparse.SparseContext.factorize_rows` /
+  ``solve_rows``): all samples share plan 0's pattern and symbolic
+  factorisation, so each level is one B-wide NumPy call, and each row
+  gets the bits of the scalar-sparse kernel on that sample.
 
 **Bit-identity contract.**  Converged batch samples are bit-identical
 to scalar ``simulate_transient`` runs because every elementwise IEEE
@@ -57,8 +63,8 @@ iterate they converge (masked dropout), and the whole batch marches to
 the next timestep together.  A sample is *ejected* — removed from the
 batch and rerun from t=0 on the scalar path — when it
 
-* hits a singular matrix (the scalar path raises a structural
-  diagnosis; the rerun reproduces it),
+* hits a singular matrix — a zero dense or sparse pivot (the scalar
+  path raises a structural diagnosis; the rerun reproduces it),
 * exhausts the Newton budget (the scalar path escalates the recovery
   ladder, which the batch does not replicate),
 * drives its oscillation-guard damping to the 1/256 floor (a
@@ -97,15 +103,14 @@ from repro.analysis.effects import deterministic_under_seed
 from repro.errors import ReproError, SimulationError
 from repro.exec.supervise import tick as _supervision_tick
 from repro.spice import linalg
-from repro.spice.elements import Diode, Switch, VoltageSource
+from repro.spice.elements import Diode, Switch
 from repro.spice.mna import MnaSystem
 from repro.spice.mosfet import _FD_STEP, MosfetElement
 from repro.spice.netlist import Circuit
 from repro.spice.recovery import DEFAULT_RECOVERY, RecoveryConfig
 from repro.spice.stampplan import (_LINEAR_TYPES, _NONLINEAR_TYPES,
                                    _mosfet_constants, resolve_backend,
-                                   SPARSE_AUTO_THRESHOLD, StampPlan,
-                                   stamping_order)
+                                   StampPlan, stamping_order)
 from repro.spice.transient import (_DAMP_LIMIT, _MAX_NEWTON, _NEWTON_BUCKETS,
                                    _V_TOL, _initial_state, _validate_time_grid,
                                    TransientResult, simulate_transient)
@@ -175,6 +180,23 @@ def _const_stack(grids: List[List[List[float]]]) -> np.ndarray:
     """
     return np.ascontiguousarray(
         np.array(grids, dtype=float).transpose(0, 2, 1))
+
+
+def _carve(pool: Dict[str, np.ndarray], name: str, shape: Tuple[int, ...],
+           dtype: Any = float) -> np.ndarray:
+    """A C-contiguous ``shape`` view of the front of ``pool[name]``.
+
+    Live row counts only shrink within a run, so the first (widest)
+    request sizes each backing buffer and every narrower live count's
+    scratch reuses its memory instead of adding its own.  Views of
+    different widths alias each other, so a scratch buffer may hold
+    another width's values on entry: callers write before they read.
+    """
+    size = math.prod(shape)
+    buf = pool.get(name)
+    if buf is None or buf.size < size:
+        buf = pool[name] = np.empty(size, dtype=dtype)
+    return buf[:size].reshape(shape)
 
 
 def _scatter_keep(idx: np.ndarray, limit: Optional[int] = None
@@ -286,13 +308,15 @@ class _SwitchGroup:
             [[e.g_off for e in row] for row in grid],
             [[e.g_on - e.g_off for e in row] for row in grid]])  # g_span
         self._scratch: Dict[int, Dict[str, np.ndarray]] = {}
+        self._pool: Dict[str, np.ndarray] = {}
 
     def _buffers(self, live: int, e_all: int) -> Dict[str, np.ndarray]:
         s = self._scratch.get(live)
         if s is None:
             d2 = (e_all, live)
-            s = {"cp": np.empty(d2), "cn": np.empty(d2),
-                 "frac": np.empty(d2), "lo": np.empty(d2, dtype=bool)}
+            pool = self._pool
+            s = {name: _carve(pool, name, d2) for name in ("cp", "cn", "frac")}
+            s["lo"] = _carve(pool, "lo", d2, bool)
             self._scratch[live] = s
         return s
 
@@ -364,7 +388,9 @@ class _MosfetGroup:
         # iterate, so reusing output buffers (via ufunc ``out=`` /
         # ``np.copyto`` forms that compute the identical values) keeps
         # ~25 short-lived allocations per iterate out of the hot loop.
+        # Every live count carves its buffers from one pool.
         self._scratch: Dict[int, Dict[str, np.ndarray]] = {}
+        self._pool: Dict[str, np.ndarray] = {}
 
     def _buffers(self, live: int, e_all: int,
                  vals: np.ndarray) -> Dict[str, Any]:
@@ -372,17 +398,22 @@ class _MosfetGroup:
         if s is None or s["vals"] is not vals:
             d2 = (e_all, live)
             d3 = (3, e_all, live)
-            s = {name: np.empty(d2) for name in
+            pool = self._pool
+            s = {name: _carve(pool, name, d2) for name in
                  ("vd", "vg", "vs", "u0", "vg2", "ta", "tb")}
-            s.update({name: np.empty(d3) for name in
+            s.update({name: _carve(pool, name, d3) for name in
                       ("u", "w", "gg", "t1", "t2", "t3", "t4", "i_sub")})
-            s.update({name: np.empty(d3, dtype=bool) for name in
+            s.update({name: _carve(pool, name, d3, bool) for name in
                       ("neg", "cond", "mask")})
             # The pow10 memo, flat over the probe stack: last exponent
-            # per cell (NaN matches nothing) and its power.
-            cells = 3 * e_all * live
-            s.update(p10_x=np.full(cells, np.nan), p10_p=np.empty(cells),
-                     p10_new=np.empty(cells, dtype=bool))
+            # per cell (NaN matches nothing) and its power.  Widths
+            # share the memo's memory, which stays exact because a cell
+            # only ever pairs an exponent with its own power.
+            cells = (3 * e_all * live,)
+            s.update(p10_x=_carve(pool, "p10_x", cells),
+                     p10_p=_carve(pool, "p10_p", cells),
+                     p10_new=_carve(pool, "p10_new", cells, bool))
+            s["p10_x"].fill(np.nan)
             # This group's block of `vals`, as (gd, gm, residual) rows.
             out = vals[self.lo:self.hi].reshape(d3)
             s.update(vals=vals, gdm=out[:2], gd=out[0], gm=out[1],
@@ -554,7 +585,7 @@ class _BatchStep:
 
     rows: np.ndarray                 # sample ids, one per live row
     rhs_point: np.ndarray            # (L, n) linear RHS
-    base: np.ndarray                 # (L, n, n) linear base slice
+    base: np.ndarray                 # (L, n, n) or (L, nnz) base slice
     group_consts: List[np.ndarray]   # one (K, E, L) stack per group
 
     def mask(self, keep: np.ndarray) -> "_BatchStep":
@@ -567,6 +598,8 @@ class _BatchStep:
 class BatchStampPlan:
     """B same-topology circuits compiled for simultaneous solves.
 
+    ``backend`` is each scalar plan's linear-kernel selector; the stack
+    runs on whichever kernel it resolves to (see the module docstring).
     Construction raises :class:`_BatchUnsupported` (caught by
     :func:`batch_transient_outcomes`, which falls back to the scalar
     path) when the stack is not batchable: mismatched topologies, or an
@@ -575,7 +608,8 @@ class BatchStampPlan:
     :class:`~repro.errors.ConfigurationError`).
     """
 
-    def __init__(self, circuits: Sequence[Circuit]) -> None:
+    def __init__(self, circuits: Sequence[Circuit],
+                 backend: str = "dense") -> None:
         self.circuits = list(circuits)
         self.batch = len(self.circuits)
         for circuit in self.circuits:
@@ -586,11 +620,17 @@ class BatchStampPlan:
                         f"{type(el).__name__} {el.name!r} is not a "
                         f"stamp-plan element type")
         self.systems = [MnaSystem(c) for c in self.circuits]
-        self.plans = [StampPlan(s) for s in self.systems]
+        self._check_topology()
+        # Each plan resolves (and counts) its backend as the sample's
+        # scalar solve would; one topology resolves to one backend.
+        self.plans = [StampPlan(s, backend=backend, fillers=False)
+                      for s in self.systems]
+        self._check_geometry()
         plan0 = self.plans[0]
         self.size = plan0.size
+        # Plan 0's pattern and symbolic LU serve every row (None: dense).
+        self._sparse = plan0._sparse
         self.n_nodes = len(self.systems[0].node_index)
-        self._check_stack()
         self._n_slots = len(plan0._nl_vals)
         self._groups = self._compile_groups()
         # Each group writes its values into one contiguous block of the
@@ -601,14 +641,21 @@ class BatchStampPlan:
             slot_of[group.plan_slots] = np.arange(group.lo, group.hi)
         # Scalar plan 0 owns the canonical scatter geometry; the
         # topology check above guarantees every sample shares it.
-        _, m_dst = _scatter_keep(plan0._m_idx)
-        # The matrix stack is stored *transposed* (each row holds A.T,
-        # i.e. A in LAPACK's native Fortran order) so dgesv can factor
-        # in place with no layout copy.  Flat index r*n+c becomes
-        # c*n+r: the add sequence hitting each destination is
-        # unchanged, only its storage address moves.
         n = self.size
-        m_dst = (m_dst % n) * n + (m_dst // n)
+        if self._sparse is not None:
+            # Value positions on the frozen pattern, one nnz-wide row
+            # per sample.
+            m_dst = plan0._m_pos
+            self._row_stride = self._sparse.nnz
+        else:
+            # The matrix stack is stored *transposed* (each row holds
+            # A.T, i.e. A in LAPACK's native Fortran order) so dgesv can
+            # factor in place with no layout copy.  Flat index r*n+c
+            # becomes c*n+r: the add sequence hitting each destination
+            # is unchanged, only its storage address moves.
+            _, m_dst = _scatter_keep(plan0._m_idx)
+            m_dst = (m_dst % n) * n + (m_dst // n)
+            self._row_stride = n * n
         (self._m_slot, self._m_sign, self._m_dst,
          self._m_n_uniq) = _split_unique(
             slot_of[plan0._m_slot], plan0._m_sign, m_dst)
@@ -633,10 +680,11 @@ class BatchStampPlan:
         self._flat_cache: Dict[
             int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # Per-live-count iterate buffers (xpad, vals, m-terms, r-terms,
-        # matrix stack, two RHS/solution buffers that take turns):
-        # reused across iterates.
+        # value stack, two RHS buffers that take turns) and step
+        # buffers, reused across iterates and carved from one pool.
         self._iter_scratch: Dict[int, Tuple[np.ndarray, ...]] = {}
         self._step_scratch: Dict[int, Tuple[np.ndarray, ...]] = {}
+        self._pool: Dict[str, np.ndarray] = {}
         self._geq_stack: Optional[np.ndarray] = None
         self._vsrc_rows = [br for _el, br, _ip, _in in plan0._vsources]
         self._vsrc_br = np.array(self._vsrc_rows, dtype=np.intp)
@@ -662,7 +710,7 @@ class BatchStampPlan:
 
     # -- compilation -----------------------------------------------------------
 
-    def _check_stack(self) -> None:
+    def _check_topology(self) -> None:
         if self.batch < 2:
             raise _BatchUnsupported("batch needs at least two samples")
         sys0 = self.systems[0]
@@ -672,12 +720,14 @@ class BatchStampPlan:
                     or sys_b.branch_index != sys0.branch_index):
                 raise _BatchUnsupported(
                     "samples must share one circuit topology")
-        plan0 = self.plans[0]
         sig0 = self._signature(self.circuits[0])
         for circuit in self.circuits[1:]:
             if self._signature(circuit) != sig0:
                 raise _BatchUnsupported(
                     "samples must share one element sequence")
+
+    def _check_geometry(self) -> None:
+        plan0 = self.plans[0]
         v_rows0 = [(br, ip, in_) for _el, br, ip, in_ in plan0._vsources]
         i_rows0 = [(i_f, i_t) for _el, i_f, i_t in plan0._isources]
         for plan in self.plans[1:]:
@@ -763,13 +813,20 @@ class BatchStampPlan:
 
     def begin_run(self, dt: float, integrator: str) -> None:
         """Stack the per-sample linear bases once per (dt, integrator)."""
-        key = (dt, integrator, 1e-12)  # noqa: L101 - gmin, siemens
+        gmin = 1e-12  # noqa: L101 - gmin, siemens
+        key = (dt, integrator, gmin)
         if self._base_stack_key != key:
-            # Transposed per sample to match the transposed `_m_dst`
-            # scatter map (see __init__): row b holds base_b.T.
-            self._base_stack = np.stack(
-                [plan._build_base(dt, integrator, 1e-12).T  # noqa: L101 - gmin, siemens
-                 for plan in self.plans]).copy()
+            if self._sparse is not None:
+                # Each plan gathers its dense base through the shared
+                # pattern and drops it: no (B, n, n) array exists.
+                self._base_stack = np.stack(
+                    [plan._base(dt, integrator, gmin) for plan in self.plans])
+            else:
+                # Transposed per sample to match the transposed `_m_dst`
+                # scatter map (see __init__): row b holds base_b.T.
+                self._base_stack = np.stack(
+                    [plan._build_base(dt, integrator, gmin).T
+                     for plan in self.plans]).copy()
             self._base_stack_key = key
         self._live_rows = None
         if self._n_caps:
@@ -793,7 +850,8 @@ class BatchStampPlan:
         cached = self._flat_cache.get(live)
         if cached is None:
             n = self.size
-            col_m = np.arange(live, dtype=np.intp)[None, :] * (n * n)
+            stride = self._row_stride
+            col_m = np.arange(live, dtype=np.intp)[None, :] * stride
             col_r = np.arange(live, dtype=np.intp)[None, :] * n
             row_r = np.arange(live, dtype=np.intp)[:, None] * n
             m_flat = (self._m_dst[:, None] + col_m).reshape(-1)
@@ -832,9 +890,11 @@ class BatchStampPlan:
         # so the buffer can be recycled once the next step begins.
         scratch = self._step_scratch.get(live)
         if scratch is None:
-            scratch = (np.zeros((live, n)), np.empty((live, n + 1)),
-                       np.empty((live, self._n_caps)),
-                       np.empty((live, 2 * self._n_caps)))
+            pool = self._pool
+            scratch = (_carve(pool, "rhs_point", (live, n)),
+                       _carve(pool, "xg", (live, n + 1)),
+                       _carve(pool, "ieq", (live, self._n_caps)),
+                       _carve(pool, "cap_vals", (live, 2 * self._n_caps)))
             self._step_scratch[live] = scratch
         rhs, xg, ieq, cap_vals = scratch
         rhs[:] = 0.0
@@ -892,43 +952,47 @@ class BatchStampPlan:
 
         Returns ``(x_new, bad)``: the indexes in ``bad`` are rows with a
         singular matrix, whose ``x_new`` rows are NaN and which the
-        caller must eject before the next iterate.  ``x_new`` is one of
-        two per-live-count buffers that alternate between iterates, so
-        the caller may keep it (and write it) until the next-but-one
+        caller must eject before the next iterate.  ``x_new`` may be one
+        of two per-live-count buffers that alternate between iterates,
+        so the caller may keep it (and write it) until the next-but-one
         call with the same live count.
         """
         n = self.size
         live = step.rows.shape[0]
         scratch = self._iter_scratch.get(live)
         if scratch is None:
+            pool = self._pool
             # Node-major x and slot-major values, matching the groups'
-            # element-major (E, L) arrays.
+            # element-major (E, L) arrays.  xpad is not carved: its
+            # ground pad row is read-only after this (every fill
+            # gathers from xpad, nothing writes it), and a wider view
+            # of shared memory would overwrite it.
             xpad = np.empty((n + 1, live))
-            # The ground pad row is read-only after this: every fill
-            # gathers from xpad, nothing writes it.
             xpad[n] = 0.0
-            matrices = np.empty((live, n, n))
+            matrices = _carve(pool, "matrices",
+                              (live,) + self._base_stack.shape[1:])
             solutions = []
-            for _ in range(2):
-                # Row i of `matrices` holds A_i.T, so its `.T` view is
-                # A_i in LAPACK's Fortran order; the views are built
-                # once per buffer pair.
-                rhs = np.empty((live, n))
-                solutions.append((rhs, [(mat_t.T, row) for mat_t, row
+            for k in range(2):
+                # Dense: row i of `matrices` holds A_i.T, so its `.T`
+                # view is A_i in LAPACK's Fortran order; the views are
+                # built once per buffer pair.
+                rhs = _carve(pool, f"rhs{k}", (live, n))
+                solutions.append((rhs, None if self._sparse is not None
+                                  else [(mat_t.T, row) for mat_t, row
                                         in zip(matrices, rhs)]))
             scratch = (xpad,
-                       np.empty((self._n_slots, live)),
-                       np.empty((self._m_slot.shape[0], live)),
-                       np.empty((self._r_slot.shape[0], live)),
+                       _carve(pool, "vals", (self._n_slots, live)),
+                       _carve(pool, "mterm", (self._m_slot.shape[0], live)),
+                       _carve(pool, "rterm", (self._r_slot.shape[0], live)),
                        matrices, solutions)
             self._iter_scratch[live] = scratch
         xpad, vals, mterm, rterm, matrices, solutions = scratch
         xpad[:n] = x.T
         for group, consts in zip(self._groups, step.group_consts):
             group.fill(xpad, vals, consts)
-        # The matrix stack is consumed by the in-place factorisation;
-        # the RHS buffer becomes the solution the caller keeps, so the
-        # two RHS buffers take turns.
+        # The dense matrix stack is consumed by the in-place
+        # factorisation and the RHS buffer becomes the solution the
+        # caller keeps, so the two RHS buffers take turns.
         rhs, rows = solutions[0]
         solutions.reverse()
         np.copyto(matrices, step.base)
@@ -948,12 +1012,26 @@ class BatchStampPlan:
             flat = rhs.reshape(-1)
             flat[ru] += terms[:kr].reshape(-1)
             np.add.at(flat, rd, terms[kr:].reshape(-1))
-        # One fused factor+solve per live row; the solutions land in
-        # `rhs` in place.
-        bad = linalg.solve_rows_t_into(rows)
+        sparse = self._sparse
+        if sparse is None:
+            # One fused factor+solve per live row; the solutions land in
+            # `rhs` in place.
+            bad = linalg.solve_rows_t_into(rows)
+            x_new = rhs
+        else:
+            try:
+                factors, singular = sparse.factorize_rows(matrices)
+            except np.linalg.LinAlgError:
+                # The first row, seeding the pivot analysis, is
+                # structurally singular: eject every row and let the
+                # scalar reruns report their own outcomes.
+                rhs[:] = np.nan
+                return rhs, list(range(live))
+            x_new = sparse.solve_rows(factors, rhs)
+            bad = np.flatnonzero(singular).tolist()
         if bad:
-            rhs[bad] = np.nan
-        return rhs, bad
+            x_new[bad] = np.nan
+        return x_new, bad
 
 
 # -- the batched Newton driver -------------------------------------------------
@@ -1206,11 +1284,11 @@ def batch_transient_outcomes(
     in the outcome list; any other exception propagates.
 
     ``backend`` is the linear-kernel selector of
-    :func:`repro.spice.transient.simulate_transient`.  The batched
-    sample-axis solver is inherently dense (it row-solves small
-    per-sample systems), so when the backend resolves to ``"sparse"``
-    for this topology the whole stack ejects to the scalar path — each
-    sample then runs scalar-sparse, never scalar-dense.
+    :func:`repro.spice.transient.simulate_transient`, resolved per
+    sample exactly as there: a stack that resolves to ``"sparse"``
+    solves every row on one shared sparse pattern and matches
+    scalar-sparse runs bit for bit, one that resolves to ``"dense"``
+    matches scalar-dense runs.
     """
     _validate_time_grid(t_stop, dt)
     if integrator not in ("be", "trap"):
@@ -1231,24 +1309,15 @@ def batch_transient_outcomes(
 
     if backend not in ("dense", "sparse", "auto"):
         resolve_backend(backend, 0)  # raises ConfigurationError
-    # MNA size without allocating the dense system: non-ground nodes
-    # plus one branch current per voltage source.  The auto threshold
-    # is compared inline so the decision counter stays owned by the
-    # per-plan resolve_backend call inside each solve.
-    size = len(stack[0].nodes()) + sum(
-        1 for el in stack[0].elements if type(el) is VoltageSource)
     reason = None
-    if backend == "sparse" or (backend == "auto"
-                               and size >= SPARSE_AUTO_THRESHOLD):
-        reason = "sparse backend solves per sample"
-    elif len(stack) == 1:
+    if len(stack) == 1:
         reason = "single sample"
     elif integrator == "trap":
         reason = "trapezoidal capacitor history is scalar-only"
     plan = None
     if reason is None:
         try:
-            plan = BatchStampPlan(stack)
+            plan = BatchStampPlan(stack, backend=backend)
         except _BatchUnsupported as exc:
             reason = str(exc)
     if plan is None:

@@ -10,6 +10,7 @@ model.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, Optional
 
 import numpy as np
@@ -34,8 +35,17 @@ class MnaSystem:
                 self.branch_index[element.name] = offset
                 offset += 1
         self.size = offset
-        self.matrix = np.zeros((self.size, self.size))
         self.rhs = np.zeros(self.size)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix under assembly, allocated on first use.
+
+        Only the per-element stamping loop writes it; compiled stamp
+        plans keep their own value arrays, so a batch of B systems
+        never holds B unused ``n x n`` matrices.
+        """
+        return np.zeros((self.size, self.size))
 
     # -- index helpers ---------------------------------------------------------
 

@@ -38,6 +38,13 @@ is waveform agreement within the documented tolerance, enforced by
 Exact zero pivots raise :class:`numpy.linalg.LinAlgError` exactly like
 the dense kernel, so the recovery ladder (gmin / source stepping)
 treats both backends identically.
+
+The batched sample-axis solver (:mod:`repro.spice.batch`) replays the
+same schedule over a ``(B, nnz)`` stack of same-pattern value rows
+(:meth:`SymbolicLU.refactor_rows` / :meth:`SymbolicLU.solve_rows`):
+each level is still one gather/segment-sum/scatter, now B rows wide,
+and every row's bits equal the 1-D kernel's on that row.  A zero
+pivot there flags its row instead of raising.
 """
 
 from __future__ import annotations
@@ -100,6 +107,33 @@ class SparseContext:
         ``spice.sparse.refactor``.  Raises
         :class:`numpy.linalg.LinAlgError` on an exact zero pivot.
         """
+        symbolic = self._analysis(values)
+        obs.metrics().counter("spice.sparse.refactor").inc()
+        return symbolic.refactor(values)
+
+    def factorize_rows(self, values: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """Numeric LU of every row of a ``(B, nnz)`` value stack.
+
+        Row 0 seeds the analysis when none exists yet, exactly as a
+        scalar solve of that sample would; each row counts one
+        ``spice.sparse.refactor``.  Returns ``(factors, bad)`` from
+        :meth:`SymbolicLU.refactor_rows`: a zero pivot flags its row
+        instead of raising.  Only the analysis itself can raise
+        :class:`numpy.linalg.LinAlgError` (row 0 structurally
+        singular).
+        """
+        symbolic = self._analysis(values[0])
+        obs.metrics().counter("spice.sparse.refactor").inc(values.shape[0])
+        return symbolic.refactor_rows(values)
+
+    def solve_rows(self, factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve every row of ``rhs`` given :meth:`factorize_rows` output."""
+        assert self._symbolic is not None
+        return self._symbolic.solve_rows(factors, rhs)
+
+    def _analysis(self, values: np.ndarray) -> "SymbolicLU":
+        """The pattern's symbolic LU, run or fetched on first use."""
         if self._symbolic is None:
             key = self.n.to_bytes(8, "little") + self.flat.tobytes()
             cached = _symbolic_cache.get(key)
@@ -117,8 +151,7 @@ class SparseContext:
             if obs.is_enabled():
                 obs.metrics().gauge("spice.sparse.fill_ratio").set(
                     self.fill_ratio)
-        obs.metrics().counter("spice.sparse.refactor").inc()
-        return self._symbolic.refactor(values)
+        return self._symbolic
 
     def solve(self, factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` given :meth:`factorize` output."""
@@ -293,6 +326,55 @@ class SymbolicLU:
                 y[ts] = y[ts] / w[tpivs]
         out = np.empty(self.n)
         out[self.pc] = y
+        return out
+
+    # -- the row-stacked twins ---------------------------------------------
+    #
+    # Row b of every (B, ...) array below runs the 1-D kernel's exact
+    # operation sequence: the gathers, elementwise products and divides
+    # act per element, and ``np.add.reduceat(..., axis=1)`` sums each
+    # row's segment with the same contiguous inner loop (pairwise
+    # blocking included) the 1-D call uses.  Rows never mix, so a NaN or
+    # zero pivot in one row cannot move another row's bits.
+
+    def refactor_rows(self, values: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`refactor` of every row of a ``(B, nnz)`` value stack.
+
+        Returns ``(w, bad)``: the ``(B, n_cells)`` factor rows and a
+        boolean per row flagging an exact zero pivot, where
+        :meth:`refactor` would raise.  A flagged row's factors are
+        garbage; the other rows are unaffected.
+        """
+        w = np.zeros((values.shape[0], self.n_cells))
+        w[:, :self.nnz] = values
+        with np.errstate(divide="ignore", invalid="ignore",
+                         over="ignore", under="ignore"):
+            for div_dest, div_src, upd_l, upd_u, uniq, segs \
+                    in self._factor_levels:
+                if len(div_dest):
+                    w[:, div_dest] = w[:, div_dest] / w[:, div_src]
+                if len(uniq):
+                    prod = w[:, upd_l] * w[:, upd_u]
+                    w[:, uniq] -= np.add.reduceat(prod, segs, axis=1)
+        pivots = w[:, self.piv_ids]
+        return w, (pivots == 0.0).any(axis=1)  # noqa: L102 - exact zero pivot
+
+    def solve_rows(self, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """:meth:`solve` of every row of ``rhs`` against ``w``'s rows."""
+        y = rhs[:, self.pr]  # a fresh (B, n) copy
+        with np.errstate(divide="ignore", invalid="ignore",
+                         over="ignore", under="ignore"):
+            for lids, srcs, uniq, segs in self._forward_levels:
+                prod = w[:, lids] * y[:, srcs]
+                y[:, uniq] -= np.add.reduceat(prod, segs, axis=1)
+            for uids, srcs, uniq, segs, ts, tpivs in self._backward_levels:
+                if len(uniq):
+                    prod = w[:, uids] * y[:, srcs]
+                    y[:, uniq] -= np.add.reduceat(prod, segs, axis=1)
+                y[:, ts] = y[:, ts] / w[:, tpivs]
+        out = np.empty((rhs.shape[0], self.n))
+        out[:, self.pc] = y
         return out
 
 

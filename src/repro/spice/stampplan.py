@@ -142,14 +142,21 @@ class _SolvePoint:
 class StampPlan:
     """One circuit compiled for fast repeated Newton solves."""
 
-    def __init__(self, system: MnaSystem, *, backend: str = "dense") -> None:
+    def __init__(self, system: MnaSystem, *, backend: str = "dense",
+                 fillers: bool = True) -> None:
+        """Compile ``system`` for ``backend``.
+
+        ``fillers=False`` keeps only the scatter geometry, the linear
+        part and the source rows, not the per-element filler closures:
+        the batched solver evaluates devices with its own group fillers
+        and never calls :meth:`solve_iterate` on such a plan.
+        """
         backend = resolve_backend(backend, system.size)
         self.system = system
         self.size = system.size
         self._n_nodes = len(system.node_index)
         ground_slot = self.size  # pad slot for gathers/scatters via ground
 
-        self._matrix = np.zeros((self.size, self.size))
         self._rhs = np.zeros(self.size)
         self._diag_flat = np.arange(self._n_nodes) * (self.size + 1)
 
@@ -201,7 +208,8 @@ class StampPlan:
         slot = 0
         for el in nonlinear:
             fill, n_slots, mw, rw = self._compile_fill(el, slot)
-            self._fillers.append(fill)
+            if fillers:
+                self._fillers.append(fill)
             m_writes.extend(mw)
             r_writes.extend(rw)
             slot += n_slots
@@ -242,6 +250,9 @@ class StampPlan:
         if backend == "sparse":
             self._compile_sparse()
         else:
+            # Only the dense kernel reads an n x n matrix; a sparse plan
+            # never allocates one.
+            self._matrix = np.zeros((self.size, self.size))
             self._values = self._matrix.ravel()  # shared-memory view
             self._m_pos = self._m_idx
             self._diag_pos = self._diag_flat

@@ -10,12 +10,12 @@ GBL-versus-reference signal developed by charge sharing.
 
 At its default size (16 blocks x 16 cells, 289 MNA unknowns) the
 model sits well above ``SPARSE_AUTO_THRESHOLD``, so ``backend="auto"``
-resolves to the sparse solve path and the batched sample-axis solver
-ejects every sample to scalar-sparse — this is the workload the sparse
-backend exists for.  The simulation window deliberately stops at the
-sense-amplifier enable time: charge sharing through the select device
-is the mismatch-sensitive quantity, and it keeps each sample on
-Newton's benign rung-0 path.
+resolves to the sparse solve path, and ``--batch`` stacks run the
+batched sample-axis solver on one shared sparse pattern — this is the
+workload the sparse backend exists for.  The simulation window
+deliberately stops at the sense-amplifier enable time: charge sharing
+through the select device is the mismatch-sensitive quantity, and it
+keeps each sample on Newton's benign rung-0 path.
 
 The model instance is picklable (frozen cell + scalars only), so it
 composes with ``--jobs`` process pools as well as ``--batch``.

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.faults import FaultyRefreshPolicy, generate_fault_plan
+from repro.faults import (FaultPlan, FaultyRefreshPolicy, RefreshFault,
+                          generate_fault_plan)
 from repro.obs.events import EventLog
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.refresh import (LocalizedRefresh, MonoblockRefresh,
@@ -116,6 +117,25 @@ class TestOracleEquivalence:
         walk = _observed(_walk, policy, trace)
         assert walk[0] is SimulationError
         assert walk[1][0] == 94208 // _BUSY_SAMPLE_WINDOW - 1
+        assert walk == _observed(per_cycle_run, policy, trace)
+
+    def test_saturated_run_reports_started_late_refreshes(self):
+        """A run that saturates still emits the fault events of the
+        refreshes it started, as the per-cycle loop does (a Hypothesis
+        find: a one-row-late single block whose period is twice the
+        duration never serves its access)."""
+        base = MonoblockRefresh(n_blocks=1, rows_per_block=3,
+                                refresh_period_cycles=4,
+                                refresh_duration_cycles=2)
+        plan = FaultPlan(seed=1, n_blocks=1, rows_per_block=3, word_bits=32,
+                         weak_cells=(), stuck_bits=(), sa_outliers=(),
+                         refresh_faults=(RefreshFault(row=1, kind="late",
+                                                      delay_cycles=1),))
+        policy = FaultyRefreshPolicy(base=base, plan=plan)
+        trace = np.array([0])
+        walk = _observed(_walk, policy, trace, 1)
+        assert walk[0] is SimulationError
+        assert walk[2]  # late starts before the horizon
         assert walk == _observed(per_cycle_run, policy, trace)
 
 

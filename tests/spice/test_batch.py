@@ -7,6 +7,7 @@ the scalar Newton loop, not an approximation of it.  Samples the batch
 cannot carry — stiff draws that trip damping or exhaust the Newton
 budget, singular rows, whole stacks with mismatched topology — must be
 ejected to the scalar path so the contract holds by construction.
+Sparse-sized stacks hold the same contract against scalar-sparse runs.
 """
 
 from __future__ import annotations
@@ -33,8 +34,12 @@ from repro.spice import (
     simulate_transient,
     simulate_transient_batch,
 )
+from repro.spice.mna import MnaSystem
 from repro.spice.recovery import RecoveryConfig
+from repro.spice.sparse import _symbolic_cache
+from repro.spice.stampplan import SPARSE_AUTO_THRESHOLD
 from repro.units import ns
+from repro.variability.globalbitline_mc import GlobalBitlineMcModel
 from repro.variability.localblock_mc import LocalBlockMcModel
 
 T_STOP = 2e-10
@@ -272,6 +277,96 @@ class TestEvalModelBatch:
         serial = telemetry(lambda m, rngs: [m(rng) for rng in rngs])
         assert batched == serial
         assert batched[0] > 0  # the workload does damp
+
+
+def _gbl_stack(count: int, seed: int = 2009):
+    """A global-bitline stack above the sparse threshold: 8 blocks x 14
+    cells, 50 steps."""
+    model = GlobalBitlineMcModel(Dram1t1cCell.scratchpad(), blocks=8,
+                                 cells_per_lbl=14, t_stop=0.05 * ns)
+    params = [model.draw(np.random.default_rng(child))
+              for child in np.random.SeedSequence(seed).spawn(count)]
+    return (model, [model.build(p) for p in params],
+            [model.initial_voltages(p) for p in params])
+
+
+class TestSparseBatch:
+    """Sparse-sized stacks run batched on one shared sparse pattern and
+    reproduce scalar-sparse runs byte for byte."""
+
+    def test_b8_stack_bit_identical_to_scalar_sparse(self):
+        model, circuits, initials = _gbl_stack(8)
+        assert MnaSystem(circuits[0]).size >= SPARSE_AUTO_THRESHOLD
+        with obs.instrumented() as registry:
+            batched = batch_transient_outcomes(
+                circuits, model.t_stop, model.dt, initial_voltages=initials)
+        assert registry.counter("spice.batch.batches").value == 1
+        assert registry.counter("spice.batch.ejected").value == 0
+        assert registry.counter("spice.batch.fallback").value == 0
+        for circuit, initial, (ok, result) in zip(circuits, initials,
+                                                  batched):
+            assert ok
+            reference = simulate_transient(circuit, model.t_stop, model.dt,
+                                           initial_voltages=initial)
+            assert result.data.tobytes() == reference.data.tobytes()
+
+    def test_telemetry_matches_serial(self):
+        """One ``spice.sparse.refactor`` per sample-iterate, and the
+        same timestep count, Newton histogram and damping total as the
+        serial runs."""
+        model, circuits, initials = _gbl_stack(4, seed=7)
+
+        def telemetry(run):
+            with obs.instrumented() as registry:
+                run()
+                snap = registry.snapshot()
+            return ({name: snap["counters"].get(name) for name in (
+                        "spice.sparse.refactor", "spice.timesteps",
+                        "spice.damping_events")},
+                    snap["histograms"]["spice.newton.iterations"])
+
+        batched = telemetry(lambda: batch_transient_outcomes(
+            circuits, model.t_stop, model.dt, initial_voltages=initials))
+        serial = telemetry(lambda: [
+            simulate_transient(c, model.t_stop, model.dt, initial_voltages=i)
+            for c, i in zip(circuits, initials)])
+        assert batched == serial
+        assert batched[0]["spice.damping_events"] > 0  # the stack damps
+
+    @pytest.mark.parametrize("singular, ejected", [(2, 1), (0, 4)])
+    def test_forced_singular_sample_ejected_and_reproduced(self, singular,
+                                                           ejected):
+        """A sample whose matrix loses a pivot is ejected from the sparse
+        stack; its scalar rerun raises the structural error a serial
+        run raises.  Its neighbours stay batched, unless it is row 0 of
+        a cold cache: its matrix seeds the pivot analysis, which fails,
+        so every row is ejected."""
+        model, circuits, initials = _gbl_stack(4, seed=3)
+        for circuit in circuits:
+            circuit.add(Capacitor("c_probe", "probe", "0", 1e-15))
+        # Bypass the constructor check: a zero capacitor leaves the
+        # probe node with an all-zero matrix row in this sample only.
+        circuits[singular].elements[-1].capacitance = 0.0
+        _symbolic_cache.clear()
+        with obs.instrumented() as registry:
+            batched = batch_transient_outcomes(
+                circuits, model.t_stop, model.dt, initial_voltages=initials)
+            aborted = [e for e in obs.events().events()
+                       if e.kind == "spice.batch.abort"]
+        assert registry.counter("spice.batch.ejected").value == ejected
+        assert not aborted
+        serial = []
+        for circuit, initial in zip(circuits, initials):
+            try:
+                serial.append((True, simulate_transient(
+                    circuit, model.t_stop, model.dt,
+                    initial_voltages=initial)))
+            except ReproError as exc:
+                serial.append((False, exc))
+        assert [ok for ok, _ in serial] == [b != singular for b in range(4)]
+        assert isinstance(serial[singular][1], SimulationError)
+        assert "singular" in str(serial[singular][1])
+        _assert_outcomes_identical(batched, serial)
 
 
 class TestBatchProperty:

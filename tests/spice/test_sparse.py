@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from repro import FastDramDesign, obs
 from repro.array.globalbitline import (build_globalbitline_read_circuit,
@@ -115,6 +116,98 @@ class TestSparseKernel:
             gauges = registry.snapshot()["gauges"]
         assert gauges["spice.sparse.fill_ratio"] >= 1.0
         assert ctx.fill_ratio >= 1.0
+
+
+def arrow_system(rng, n):
+    """Diagonal plus a full last row and column: eliminating the n - 1
+    leading pivots sends n - 1 update contributions to one cell.  The
+    arrow entries span four decades around the unit diagonal, so the
+    contributions are as large as the cell they land in and their
+    summation order shows in its bits."""
+    a = np.diag(1.0 + rng.uniform(size=n))
+    for side in (a[-1, :-1], a[:-1, -1]):
+        side[:] = rng.normal(size=n - 1) * 10.0 ** rng.uniform(-2, 2, n - 1)
+    return a
+
+
+def row_stack(a, rows, rng):
+    """``rows`` value rows on ``a``'s pattern, each a random rescale of
+    every entry (same pattern, different numbers)."""
+    ctx, flat = context_for(a)
+    base = a.ravel()[flat]
+    values = base * rng.uniform(0.5, 1.5, size=(rows, len(flat)))
+    rhs = rng.normal(size=(rows, a.shape[0]))
+    ctx.factorize(values[0])  # seed the analysis
+    return ctx, values, rhs
+
+
+def longest_update_segments(symbolic):
+    """Update-contribution counts of every factor cell, per level."""
+    lengths = []
+    for _dd, _ds, upd_l, _uu, uniq, segs in symbolic._factor_levels:
+        if len(uniq):
+            lengths.extend(np.diff(np.append(segs, len(upd_l))).tolist())
+    return lengths
+
+
+class TestRowKernels:
+    """``refactor_rows``/``solve_rows`` against the 1-D kernels, byte
+    for byte, row by row."""
+
+    def solve_and_compare(self, ctx, values, rhs, skip=()):
+        """Factor and solve the stack; every row not in ``skip`` must
+        match the 1-D kernels byte for byte.  Returns ``(bad, x)``."""
+        symbolic = ctx._symbolic
+        w, bad = ctx.factorize_rows(values)
+        x = ctx.solve_rows(w, rhs)
+        for b in range(values.shape[0]):
+            if b in skip:
+                continue
+            w1 = symbolic.refactor(values[b])
+            assert w1.tobytes() == w[b].tobytes()
+            assert symbolic.solve(w1, rhs[b]).tobytes() == x[b].tobytes()
+        return bad, x
+
+    @pytest.mark.parametrize("n", [5, 16, 48])
+    def test_random_patterns_bit_identical(self, n):
+        rng = np.random.default_rng(100 + n)
+        a, _ = random_sparse_system(rng, n, extra=n // 2)
+        ctx, values, rhs = row_stack(a, 6, rng)
+        bad, _x = self.solve_and_compare(ctx, values, rhs)
+        assert not bad.any()
+
+    def test_long_segments_bit_identical(self):
+        """NumPy's pairwise summation changes its add order at 8 and
+        128 terms: cover one cell past each boundary."""
+        rng = np.random.default_rng(7)
+        a = block_diag(arrow_system(rng, 12), arrow_system(rng, 140))
+        ctx, values, rhs = row_stack(a, 5, rng)
+        lengths = longest_update_segments(ctx._symbolic)
+        assert any(9 <= k < 128 for k in lengths)
+        assert max(lengths) >= 129
+        bad, _x = self.solve_and_compare(ctx, values, rhs)
+        assert not bad.any()
+
+    def test_zero_pivot_flags_only_its_row(self):
+        rng = np.random.default_rng(11)
+        a, _ = random_sparse_system(rng, 20)
+        ctx, values, rhs = row_stack(a, 4, rng)
+        rows = ctx.rows
+        values[2, rows == 7] = 0.0  # matrix row 7 of sample 2 vanishes
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            ctx.factorize(values[2])
+        bad, _x = self.solve_and_compare(ctx, values, rhs, skip=(2,))
+        assert bad.tolist() == [False, False, True, False]
+
+    def test_nan_row_flows_through_like_1d(self):
+        rng = np.random.default_rng(13)
+        a, _ = random_sparse_system(rng, 16)
+        ctx, values, rhs = row_stack(a, 3, rng)
+        values[1, 3] = np.nan
+        bad, x = self.solve_and_compare(ctx, values, rhs)
+        assert not bad.any()  # NaN is not an exact zero pivot
+        assert np.isnan(x[1]).any()
+        assert np.isfinite(x[[0, 2]]).all()
 
 
 class TestBackendSelection:

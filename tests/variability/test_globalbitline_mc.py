@@ -2,10 +2,10 @@
 
 The acceptance contract is end-to-end: the default model sits above
 ``SPARSE_AUTO_THRESHOLD`` so ``auto`` picks sparse; serial, ``batch``
-and ``jobs`` runs are bit-identical (the batched solver ejects whole
-sparse stacks to scalar-sparse); checkpoints written by a killed run
-resume to the uninterrupted result; the model pickles for process
-pools.
+and ``jobs`` runs are bit-identical (the batched solver runs sparse
+stacks on one shared sparse pattern, and every sample seeds the same
+pivot order); checkpoints written by a killed run resume to the
+uninterrupted result; the model pickles for process pools.
 """
 
 from __future__ import annotations
@@ -15,11 +15,13 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import FastDramDesign, obs
 from repro.cells.dram1t1c import Dram1t1cCell
 from repro.checkpoint import Checkpoint
 from repro.exec import SupervisionPolicy
+from repro.spice import simulate_transient
 from repro.spice.mna import MnaSystem
+from repro.spice.sparse import _symbolic_cache
 from repro.spice.stampplan import SPARSE_AUTO_THRESHOLD
 from repro.units import ns, ps
 from repro.variability.globalbitline_mc import GlobalBitlineMcModel
@@ -72,17 +74,36 @@ class TestModelShape:
 
 
 class TestSparseExecution:
-    def test_auto_resolves_sparse_and_batch_ejects_to_scalar_sparse(self):
+    def test_auto_resolves_sparse_and_batch_runs_batched_sparse(self):
         model = sparse_model()
         with obs.instrumented() as registry:
             run_monte_carlo(model, count=2, seed=9, batch=2)
             counters = registry.snapshot()["counters"]
-        # The whole stack ejected (sparse solves per sample) ...
-        assert counters["spice.batch.fallback"] == 2
-        # ... and each scalar sample really ran the sparse kernel.
+        # The stack ran as one batch on the sparse kernel ...
+        assert counters["spice.batch.batches"] == 1
+        assert counters.get("spice.batch.fallback", 0) == 0
+        assert counters.get("spice.batch.ejected", 0) == 0
+        # ... with every sample's plan resolved to sparse, never dense.
         assert counters["spice.sparse.auto.sparse"] == 2
         assert counters["spice.sparse.refactor"] > 0
         assert counters.get("spice.sparse.auto.dense", 0) == 0
+
+    def test_any_sample_seeds_the_same_pivot_order(self):
+        """``--jobs`` workers each seed their own symbolic cache from
+        whichever sample they solve first, so bit-identity across
+        workers needs every sample's first matrix to pick one pivot
+        order."""
+        model = GlobalBitlineMcModel(FastDramDesign().cell())  # the CLI's
+        orders = set()
+        for child in np.random.SeedSequence(2009).spawn(8):
+            params = model.draw(np.random.default_rng(child))
+            _symbolic_cache.clear()
+            simulate_transient(model.build(params), model.dt, model.dt,
+                               initial_voltages=model.initial_voltages(
+                                   params))
+            (symbolic,) = _symbolic_cache.values()
+            orders.add((symbolic.pr.tobytes(), symbolic.pc.tobytes()))
+        assert len(orders) == 1
 
     def test_serial_batch_jobs_bit_identical(self):
         model = sparse_model()
