@@ -266,7 +266,7 @@ def cmd_voltage(args: argparse.Namespace) -> None:
 def cmd_mc(args: argparse.Namespace) -> int:
     """Checkpointed retention Monte-Carlo with resume and budgets.
 
-    Periodically snapshots progress to ``--checkpoint``; a killed run
+    Periodically journals progress to ``--checkpoint``; a killed run
     relaunched with ``--resume`` reproduces the uninterrupted result
     bit-for-bit (sample i always draws from seed stream i).  With
     ``--faults weak-cells`` the run also draws a seeded fault plan and
@@ -691,8 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--samples", type=int, default=2000,
                              help="Monte-Carlo population size")
             sub.add_argument("--checkpoint", metavar="FILE", default=None,
-                             help="snapshot progress to FILE (atomic "
-                                  "JSON keyed by config fingerprint)")
+                             help="journal progress to FILE (append-"
+                                  "only, keyed by config fingerprint)")
             sub.add_argument("--resume", action="store_true",
                              help="continue from an existing checkpoint")
             sub.add_argument("--max-seconds", type=float, default=0.0,

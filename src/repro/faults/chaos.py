@@ -171,13 +171,21 @@ def corrupt_checkpoint(path: "str | pathlib.Path",
     """Damage a checkpoint file the way real failures do.
 
     ``torn``
-        Truncate to half its bytes — a write cut off by power loss
-        (invalid JSON).
+        Cut a journal (schema 3) inside its last record, never on a line
+        boundary — an append cut off by a kill or power loss; cut a
+        schema-1/2 snapshot to half its bytes (invalid JSON).
     ``garbage``
         Replace the content with non-JSON bytes — gross corruption.
     ``checksum``
-        Keep valid JSON but flip the recorded content checksum — the
-        payload silently decayed after an intact write.
+        Flip every hex digit of the first record's digest (journal) or
+        of the snapshot's content checksum (schema 2) — the payload
+        silently decayed after an intact write.  A journal of several
+        records is then quarantined on load; a lone record is cut off
+        like a torn one.
+
+    Raises :class:`~repro.errors.ConfigurationError` for an unknown
+    mode and when the mode changed no byte (``checksum`` on a schema-1
+    file, which has no checksum).
     """
     target = pathlib.Path(path)
     if mode not in _CHECKPOINT_CORRUPTIONS:
@@ -185,14 +193,34 @@ def corrupt_checkpoint(path: "str | pathlib.Path",
             f"unknown corruption mode {mode!r}; "
             f"choose from {_CHECKPOINT_CORRUPTIONS}")
     data = target.read_bytes()
-    if mode == "torn":
-        target.write_bytes(data[:max(1, len(data) // 2)])
-    elif mode == "garbage":
-        target.write_bytes(b"\x00corrupt\xff" + data[:8])
+    lines = data.split(b"\n")
+    # A journal is a header line and newline-terminated records; a
+    # snapshot is one line of JSON.
+    journal = len(lines) > 2 and not lines[-1]
+    if mode == "garbage":
+        damaged = b"\x00corrupt\xff" + data[:8]
+    elif mode == "torn" and journal:
+        start = len(data) - len(lines[-2]) - 1  # the last record
+        damaged = data[:start + max(1, len(lines[-2]) // 2)]
+    elif mode == "torn":
+        damaged = data[:max(1, len(data) // 2)]
     else:
-        text = data.decode()
-        target.write_text(text.replace('"checksum": "',
-                                       '"checksum": "0000'))
+        start = len(lines[0]) + 1  # the first record's digest
+        if not journal:
+            marker = b'"checksum": "'
+            found = data.find(marker)
+            start = found + len(marker) if found >= 0 else len(data)
+        end = start + 32
+        damaged = (data[:start] + data[start:end].translate(_FLIP_HEX)
+                   + data[end:])
+    if damaged == data:
+        raise ConfigurationError(
+            f"corruption mode {mode!r} changes no byte of {target}")
+    target.write_bytes(damaged)
+
+
+#: Maps each lower-case hex digit to a different one.
+_FLIP_HEX = bytes.maketrans(b"0123456789abcdef", b"fedcba9876543210")
 
 
 class _DiskFullSink:

@@ -92,11 +92,6 @@ import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-# scipy's expit computes 1/(1+exp(-x)) through the same libm exp as the
-# scalar sigmoid — bit-identical on the switch's (-40, 40) mid branch
-# (verified on this platform over 250k points), at one C call instead
-# of a Python-level map.
-from scipy.special import expit as _expit
 
 from repro import obs
 from repro.analysis.effects import deterministic_under_seed
@@ -121,6 +116,20 @@ _log = logging.getLogger(__name__)
 #: Outcome of one sample: (True, TransientResult | measured value) or
 #: (False, ReproError).  Non-ReproError exceptions always propagate.
 Outcome = Tuple[bool, Any]
+
+
+def _expit(*args, **kwargs):
+    """scipy's expit, imported on the first call (rebinding this name)
+    so ``import repro`` does not load SciPy.
+
+    It computes 1/(1+exp(-x)) through the same libm exp as the scalar
+    sigmoid — bit-identical on the switch's (-40, 40) mid branch
+    (verified on this platform over 250k points), at one C call instead
+    of a Python-level map.
+    """
+    global _expit
+    from scipy.special import expit as _expit
+    return _expit(*args, **kwargs)
 
 
 class _BatchUnsupported(Exception):

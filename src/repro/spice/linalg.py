@@ -22,12 +22,34 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgesv as _dgesv
-from scipy.linalg.lapack import dgetrf as _dgetrf
-from scipy.linalg.lapack import dgetrs as _dgetrs
 
 #: Opaque factorisation handle: (lu, piv) as ``dgetrf`` returns them.
 LuFactors = Tuple[np.ndarray, np.ndarray]
+
+
+# The LAPACK kernels are imported on the first solve: importing
+# ``scipy.linalg`` adds about a fifth of a second and tens of MB of
+# resident memory to start-up, which ``import repro`` and the analytic
+# commands never need.  Each stub rebinds its module name to the real
+# kernel on its first call, so every later call goes straight to LAPACK.
+
+
+def _dgesv(*args):
+    global _dgesv
+    from scipy.linalg.lapack import dgesv as _dgesv
+    return _dgesv(*args)
+
+
+def _dgetrf(*args):
+    global _dgetrf
+    from scipy.linalg.lapack import dgetrf as _dgetrf
+    return _dgetrf(*args)
+
+
+def _dgetrs(*args):
+    global _dgetrs
+    from scipy.linalg.lapack import dgetrs as _dgetrs
+    return _dgetrs(*args)
 
 
 def lu_factorize(matrix: np.ndarray) -> LuFactors:

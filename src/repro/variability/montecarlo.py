@@ -203,6 +203,10 @@ class MonteCarloOutcome:
         return ", ".join(parts)
 
 
+def _growing(values: list) -> GrowingList:
+    return values if isinstance(values, GrowingList) else GrowingList(values)
+
+
 def _fold(state: dict, done: Dict[str, float], stop: int) -> None:
     """Advance the MC state ``{"next", "samples", "failed"}`` to
     ``stop``: indexes in ``done`` are samples, the rest failed."""
@@ -295,16 +299,17 @@ def run_monte_carlo_resumable(model: Callable[[np.random.Generator], float],
     batch = _effective_batch(model, batch)
     root = np.random.SeedSequence(seed)
 
-    # Samples and failed indexes only grow, so they keep their own JSON
-    # text and a checkpoint save encodes only what is new.
+    # Samples and failed indexes only grow, so a checkpoint save
+    # journals only what is new.  Lists a journal replayed are kept as
+    # they are: the next save appends to them.
     state: dict = {"next": 0, "samples": GrowingList(),
                    "failed": GrowingList()}
     if checkpoint is not None:
         loaded = checkpoint.load()
         if loaded:
             state = {"next": int(loaded.get("next", 0)),
-                     "samples": GrowingList(loaded.get("samples", [])),
-                     "failed": GrowingList(loaded.get("failed", []))}
+                     "samples": _growing(loaded.get("samples", [])),
+                     "failed": _growing(loaded.get("failed", []))}
             if progress is not None and state["next"]:
                 progress.note_restored(state["next"])
 

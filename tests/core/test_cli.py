@@ -2,9 +2,14 @@
 
 import json
 import logging
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -80,6 +85,23 @@ class TestCommands:
     def test_invalid_capacity_exits(self):
         with pytest.raises(SystemExit):
             main(["headline", "--kb", "-1"])
+
+
+def test_analytic_commands_do_not_load_scipy():
+    """SciPy loads on the first circuit solve, not with ``repro``."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['headline'], ['fig5', '--cycles', '2000'],\n"
+        "                 ['mc', '--samples', '50']):\n"
+        "        assert main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    src = str(pathlib.Path(repro.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
 
 
 class TestInstrumentation:

@@ -82,19 +82,62 @@ class TestChaosCall:
 
 
 class TestCorruptCheckpoint:
-    def _saved(self, tmp_path):
+    FIRST = {"a": 1.0}
+    SECOND = {"a": 1.0, "b": 2.0}
+
+    def _saved(self, tmp_path, *states):
         ckpt = Checkpoint(tmp_path / "c.json", fingerprint="fp")
-        ckpt.save({"a": 1.0, "b": 2.0})
+        for done in states or (self.FIRST, self.SECOND):
+            ckpt.save(dict(done))
         return ckpt
 
-    @pytest.mark.parametrize("mode", ["torn", "garbage", "checksum"])
+    @staticmethod
+    def _sidecar(ckpt):
+        return ckpt.path.with_name(ckpt.path.name + ".corrupt")
+
+    @pytest.mark.parametrize("mode", ["garbage", "checksum"])
     def test_corruption_is_quarantined_on_load(self, tmp_path, mode):
         ckpt = self._saved(tmp_path)
         corrupt_checkpoint(ckpt.path, mode=mode)
         assert ckpt.load() is None  # fresh start, not a crash
-        sidecar = ckpt.path.with_name(ckpt.path.name + ".corrupt")
-        assert sidecar.exists()
+        assert self._sidecar(ckpt).exists()
         assert not ckpt.path.exists()
+
+    def test_torn_journal_resumes_from_the_previous_save(self, tmp_path):
+        ckpt = self._saved(tmp_path)
+        intact = ckpt.path.read_bytes()
+        corrupt_checkpoint(ckpt.path, mode="torn")
+        torn = ckpt.path.read_bytes()
+        assert intact.startswith(torn) and not torn.endswith(b"\n")
+        assert ckpt.load() == self.FIRST
+        # The damaged bytes moved to the sidecar; the file ends on the
+        # last good record, so the next save appends after it.
+        assert ckpt.path.read_bytes() + self._sidecar(ckpt).read_bytes() \
+            == torn
+        ckpt.save(dict(self.SECOND))
+        assert Checkpoint(ckpt.path, "fp").load() == self.SECOND
+
+    def test_checksum_on_a_lone_record_cuts_it_off(self, tmp_path):
+        ckpt = self._saved(tmp_path, self.FIRST)
+        corrupt_checkpoint(ckpt.path, mode="checksum")
+        assert ckpt.load() == {}
+        assert self._sidecar(ckpt).exists()
+
+    def test_snapshot_modes(self, tmp_path):
+        path = tmp_path / "snap.json"
+        for mode in ("torn", "checksum"):
+            path.write_text(
+                '{"schema": 2, "fingerprint": "fp", "checksum": '
+                '"44136fa355b3678a1146ad16f7e8649e", "done": {}}')
+            corrupt_checkpoint(path, mode=mode)
+            assert Checkpoint(path, "fp").load() is None
+            assert not path.exists()
+
+    def test_a_mode_that_changes_nothing_is_refused(self, tmp_path):
+        path = tmp_path / "schema1.json"
+        path.write_text('{"schema": 1, "fingerprint": "fp", "done": {}}')
+        with pytest.raises(ConfigurationError, match="changes no byte"):
+            corrupt_checkpoint(path, mode="checksum")
 
     def test_unknown_mode_rejected(self, tmp_path):
         ckpt = self._saved(tmp_path)

@@ -1,14 +1,17 @@
 """What a checkpointed Monte-Carlo run writes, and what it costs.
 
-A save re-encodes only the samples merged since the previous save, and
-a run ends with exactly one save covering everything it merged,
-trailing failures included.  Costs are counted, never timed.
+A save appends one journal record with only the samples merged since
+the previous save, and a run ends with exactly one save covering
+everything it merged, trailing failures included.  Costs are counted,
+never timed.
 """
 
 from __future__ import annotations
 
 import json
 import json.encoder
+import os
+import stat
 import types
 
 import numpy as np
@@ -53,8 +56,8 @@ def float_encodings(monkeypatch):
     """Count every float the json encoder renders.
 
     Forces json's pure-Python encoder and routes its ``float.__repr__``
-    through a counter, so every float encoded by any ``json.dumps`` —
-    checksum, file body or cached text — is counted.
+    through a counter, so every float encoded by any ``json.dumps`` is
+    counted.
     """
     count = [0]
     real_repr = float.__repr__
@@ -87,7 +90,44 @@ def test_each_sample_is_encoded_once(tmp_path, float_encodings):
     assert outcome.complete
     assert len(saves) == -(-count // save_every)  # 157: no duplicate
     # Re-serialising every save would encode ~1.6 million floats.
-    assert float_encodings[0] <= count + 16
+    assert float_encodings[0] == count
+
+
+def test_each_save_appends_one_record_with_one_fsync(tmp_path,
+                                                    monkeypatch):
+    count, save_every = 10_000, 64
+    fsyncs = {"file": 0, "directory": 0}
+    appended = [0]
+    real_fsync, real_write = os.fsync, os.write
+
+    def counting_fsync(fd: int) -> None:
+        kind = "directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        fsyncs[kind] += 1
+        real_fsync(fd)
+
+    def counting_write(fd: int, data) -> int:
+        written = real_write(fd, data)
+        appended[0] += written
+        return written
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    monkeypatch.setattr(os, "write", counting_write)
+    ckpt = Checkpoint(tmp_path / "mc.json", "fp")
+    sizes = []
+    original = ckpt.save
+    ckpt.save = lambda done: (original(done),
+                              sizes.append(ckpt.path.stat().st_size))
+    run_monte_carlo_resumable(normal, count, seed=1, checkpoint=ckpt,
+                              save_every=save_every)
+    saves = -(-count // save_every)
+    assert len(sizes) == saves
+    # The first save creates the file (and fsyncs its directory); every
+    # other save is one appended record and one fsync.
+    assert fsyncs == {"file": saves, "directory": 1}
+    assert ckpt.path.read_bytes().count(b"\n") == 1 + saves
+    # Append-only: the file is every byte the run wrote, O(samples).
+    assert sizes[0] + appended[0] == sizes[-1]
+    assert sizes[-1] <= 24 * count + 128 * saves
 
 
 def test_final_state_is_written_once(tmp_path):
