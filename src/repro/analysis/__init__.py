@@ -1,6 +1,6 @@
-"""repro.analysis — static analysis: linter, model checker, audit.
+"""repro.analysis — static analysis: linter and model checker.
 
-Three analyzer families share one diagnostics core:
+Two analyzer families share one diagnostics core:
 
 * :mod:`repro.analysis.lint` — AST rules specialized to this codebase
   (``repro lint``, L1xx): bare physical-magnitude literals that should
@@ -12,17 +12,9 @@ Three analyzer families share one diagnostics core:
   floating nodes, voltage-source loops, dangling subckt ports, undamped
   dynamic nodes, and physical-range validation — the defect classes
   that otherwise surface as a singular MNA matrix deep inside a solve.
-* :mod:`repro.analysis.purity` — the determinism & parallel-safety
-  audit (``repro audit``, D3xx): an interprocedural call-graph effect
-  analysis (:mod:`repro.analysis.callgraph`,
-  :mod:`repro.analysis.effects`) proving the executor's bit-identity
-  contract — no unseeded RNG reachable from the seeded pipelines or
-  worker-submitted functions, no ambient state in fingerprints or
-  checkpoints, no global mutation in workers, no hash-ordered
-  reductions.
 
-All emit :class:`~repro.analysis.diagnostics.Diagnostic` records with a
-stable rule ID, severity, location and fix hint; text and JSON
+Both emit :class:`~repro.analysis.diagnostics.Diagnostic` records with
+a stable rule ID, severity, location and fix hint; text and JSON
 renderers, the cross-family rule-ID registry, and the baseline file for
 suppressing accepted findings live in
 :mod:`repro.analysis.diagnostics`.
@@ -37,15 +29,6 @@ from repro.analysis.diagnostics import (
     format_diagnostics,
     register_rules,
 )
-from repro.analysis.effects import (
-    Effect,
-    declared_effects,
-    deterministic_under_seed,
-    mutates_global_state,
-    observational,
-    pure,
-)
-from repro.analysis.callgraph import CallGraph, build_callgraph
 from repro.analysis.lint import LINT_RULES, lint_paths, lint_source
 from repro.analysis.model import (
     MODEL_RULES,
@@ -58,18 +41,13 @@ from repro.analysis.model import (
     check_tech_node,
     default_targets,
 )
-from repro.analysis.purity import AUDIT_RULES, audit_graph, audit_paths
 
 __all__ = [
     "Baseline", "Diagnostic", "Severity",
     "format_diagnostics", "diagnostics_to_json",
     "register_rules", "all_rules",
-    "Effect", "declared_effects", "pure", "deterministic_under_seed",
-    "mutates_global_state", "observational",
-    "CallGraph", "build_callgraph",
     "LINT_RULES", "lint_paths", "lint_source",
     "MODEL_RULES", "check_circuit", "check_organization",
     "check_python_file", "check_refresh_policy", "check_scope",
     "check_targets", "check_tech_node", "default_targets",
-    "AUDIT_RULES", "audit_graph", "audit_paths",
 ]

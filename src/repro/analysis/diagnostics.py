@@ -11,7 +11,7 @@ around must not invalidate a suppression, only changing the finding
 itself (rule, file, message) does.
 
 This module also owns the cross-analyzer **rule registry**: every
-analyzer family (lint L1xx, check M2xx, audit D3xx) registers its rule
+analyzer family (lint L1xx, check M2xx) registers its rule
 table through :func:`register_rules`, which rejects any rule ID already
 claimed — a new rule can never silently reuse (and thereby re-key the
 baselines of) an existing one.

@@ -25,6 +25,12 @@ Rules
           every solve must route through the shared kernel layer so
           LAPACK/fallback selection, batching and the sparse backend
           stay in one place
+``L110``  iteration over a ``set`` feeding ordered output (``append`` /
+          ``write`` / ``yield`` / subscript stores in the loop body, or a
+          list/dict comprehension): string hashing varies with
+          ``PYTHONHASHSEED``, so the order differs between the stopped
+          and the resuming process of a checkpointed run, while a forked
+          pool shares its parent's seed and hides it from identity tests
 
 Suppression: a trailing ``# noqa`` comment suppresses every rule on
 that line; ``# noqa: L101,L102`` suppresses only those rules.  Findings
@@ -54,6 +60,7 @@ LINT_RULES: Dict[str, str] = register_rules("lint", {
     "L108": "event kind violates naming or payload-schema discipline",
     "L109": "direct linalg solve outside spice/linalg.py; use the "
             "shared kernel layer",
+    "L110": "set iteration order feeds ordered output",
 })
 
 # Keyword arguments whose values are solver/algorithm knobs, not
@@ -76,6 +83,14 @@ _LINALG_SOLVE_NAMES = {
     "lu_solve", "solve_triangular",
 }
 _LINALG_ROOTS = {"np", "numpy", "scipy"}
+
+#: Wrappers that keep the order of their iterable argument (L110).
+_ORDER_PRESERVING = {"enumerate", "list", "tuple", "reversed", "iter"}
+#: Method names that make a loop body's iteration order observable.
+_ORDER_SINKS = {"append", "extend", "appendleft", "write", "writerow",
+                "emit", "dump", "dumps", "save", "put", "send"}
+_SET_METHODS = {"union", "intersection", "difference",
+                "symmetric_difference", "copy"}
 
 _METRIC_KINDS = {"counter", "gauge", "histogram"}
 _OBS_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
@@ -230,6 +245,8 @@ class _LintVisitor(ast.NodeVisitor):
         # Scope stacks for type-aware float-equality checking.
         self._float_names: List[Set[str]] = [set()]
         self._float_fields: List[Set[str]] = [set()]
+        # Names bound to a set in each function scope (L110).
+        self._set_names: List[Set[str]] = [set()]
         self._tolerance_values: Set[int] = set()  # id() of exempt nodes
 
     # -- helpers --------------------------------------------------------------
@@ -306,12 +323,76 @@ class _LintVisitor(ast.NodeVisitor):
 
     def visit_Assign(self, node: ast.Assign) -> None:
         self._exempt_tolerance_targets(node.targets, node.value)
+        self._bind_set_names(node.targets, node.value)
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
         self._exempt_tolerance_targets([node.target], node.iter)
         self._check_stamp_loop(node)
+        self._check_set_loop(node)
+        self._bind_set_names([node.target], None)
         self.generic_visit(node)
+
+    # -- L110: set iteration order into ordered output -------------------------
+
+    def _is_set_expr(self, node: ast.AST) -> bool:
+        while (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id in _ORDER_PRESERVING and node.args):
+            node = node.args[0]
+        if isinstance(node, (ast.Set, ast.SetComp)):
+            return True
+        if isinstance(node, ast.Name):
+            return node.id in self._set_names[-1]
+        if isinstance(node, ast.BinOp) and isinstance(
+                node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)):
+            return (self._is_set_expr(node.left)
+                    or self._is_set_expr(node.right))
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                return func.id in ("set", "frozenset")
+            return (isinstance(func, ast.Attribute)
+                    and func.attr in _SET_METHODS
+                    and self._is_set_expr(func.value))
+        return False
+
+    def _bind_set_names(self, targets, value: Optional[ast.AST]) -> None:
+        is_set = value is not None and self._is_set_expr(value)
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    if is_set and name is target:
+                        self._set_names[-1].add(name.id)
+                    else:
+                        self._set_names[-1].discard(name.id)
+
+    def _report_set_order(self, node: ast.AST, what: str) -> None:
+        self._emit(
+            "L110", Severity.ERROR,
+            f"{what} iterates a set; its order follows string hashing, "
+            "which differs from process to process",
+            node, hint="iterate sorted(...) instead")
+
+    def _check_set_loop(self, node: ast.For) -> None:
+        if not self._is_set_expr(node.iter):
+            return
+        for child in ast.walk(node):
+            if isinstance(child, (ast.Yield, ast.YieldFrom)) or (
+                    isinstance(child, ast.Assign) and any(
+                        isinstance(t, ast.Subscript) for t in child.targets)
+            ) or (isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in _ORDER_SINKS):
+                self._report_set_order(node, "a loop feeding ordered output")
+                return
+
+    def _visit_ordered_comprehension(self, node) -> None:
+        if self._is_set_expr(node.generators[0].iter):
+            self._report_set_order(node, "a list/dict comprehension")
+        self.generic_visit(node)
+
+    visit_ListComp = _visit_ordered_comprehension
+    visit_DictComp = _visit_ordered_comprehension
 
     # -- L107: per-element stamping loops ---------------------------------------
 
@@ -411,11 +492,13 @@ class _LintVisitor(ast.NodeVisitor):
             arg.arg for arg in all_args
             if self._annotation_is_float(arg.annotation)
         })
+        self._set_names.append(set())
         self._check_unit_docs(node, all_args)
         self._check_mutable_defaults(node)
         self._exempt_tolerance_defaults(node)
         self.generic_visit(node)
         self._float_names.pop()
+        self._set_names.pop()
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
@@ -425,6 +508,7 @@ class _LintVisitor(ast.NodeVisitor):
                 and self._annotation_is_float(node.annotation)):
             self._float_names[-1].add(node.target.id)
         self._exempt_tolerance_targets([node.target], node.value)
+        self._bind_set_names([node.target], node.value)
         self.generic_visit(node)
 
     def _check_unit_docs(self, node, all_args) -> None:

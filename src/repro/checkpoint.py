@@ -42,7 +42,6 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.analysis.effects import pure
 from repro.errors import ConfigurationError
 
 _log = logging.getLogger(__name__)
@@ -77,13 +76,11 @@ class _BadRecord(ValueError):
     """A journal record that fails its digest or does not replay."""
 
 
-@pure
 def _content_checksum(done: Dict[str, Any]) -> str:
     """The schema-2 checksum, over ``json.dumps(done, sort_keys=True)``."""
     return _digest(json.dumps(done, sort_keys=True).encode("utf-8"))
 
 
-@pure
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:32]
 
@@ -181,7 +178,6 @@ class RunBudget:
     max_failures: Optional[int] = None
 
     @property
-    @pure
     def unlimited(self) -> bool:
         return self.max_seconds is None and self.max_failures is None
 
@@ -488,13 +484,11 @@ class SweepOutcome:
     errors: Dict[str, str] = dataclasses.field(default_factory=dict)
 
     @property
-    @pure
     def complete(self) -> bool:
         """Every item finished and none failed."""
         return (self.exhausted is None and not self.failures
                 and not self.quarantined and not self.interrupted)
 
-    @pure
     def describe(self) -> str:
         parts = [f"{self.completed}/{self.attempted} completed"]
         if self.failures:

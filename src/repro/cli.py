@@ -575,23 +575,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return _finish_analysis(args, diagnostics)
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
-    """Run the determinism & parallel-safety audit (rules D3xx).
-
-    Builds the interprocedural call graph of the given files, classifies
-    every function by effect (unseeded RNG, ambient process state,
-    global mutation) and reports where an effect breaks the executor's
-    bit-identity contract: RNG draws not derived from a caller seed,
-    wall-clock or environment values in fingerprints and checkpoints,
-    global mutation in worker processes, hash-ordered reductions, and
-    effect annotations contradicted by the code.
-    """
-    from repro.analysis import audit_paths
-    with obs.span("audit", paths=len(args.paths)):
-        diagnostics = audit_paths(args.paths)
-    return _finish_analysis(args, diagnostics)
-
-
 def _add_analysis_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"),
                         default="text",
@@ -769,14 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "only the given paths")
     _add_analysis_arguments(check)
     check.set_defaults(handler=cmd_check)
-
-    audit = subparsers.add_parser("audit", help=cmd_audit.__doc__,
-                                  parents=[common])
-    audit.add_argument("paths", nargs="+", metavar="PATH",
-                       help="Python files or directories to audit for "
-                            "determinism and parallel-safety hazards")
-    _add_analysis_arguments(audit)
-    audit.set_defaults(handler=cmd_audit)
 
     from repro.obs.diff import DEFAULT_THRESHOLD
     from repro.obs.export import EXPORT_FORMATS

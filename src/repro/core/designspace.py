@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence
 
-from repro.analysis.effects import deterministic_under_seed
 from repro.checkpoint import Checkpoint, RunBudget, SweepOutcome
 from repro.core.fastdram import FastDramDesign
 from repro.exec import run_parallel_sweep
@@ -101,7 +100,6 @@ def sweep_retention(values: Sequence[float],
     return rows
 
 
-@deterministic_under_seed
 def _evaluate_retention_row(retention: float,
                             total_bits: int) -> RetentionSweepRow:
     """One retention point (module-level so worker processes can
@@ -177,7 +175,6 @@ def sweep_sizes(sizes: Sequence[int] = (128 * kb, 512 * kb, 2048 * kb),
     return rows
 
 
-@deterministic_under_seed
 def _evaluate_size_row(bits: int, technology: str,
                        retention_override: float) -> SizeSweepRow:
     """One size point (module-level so worker processes can unpickle

@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.effects import deterministic_under_seed
 from repro.checkpoint import Checkpoint, RunBudget
 from repro.core.fastdram import FastDramDesign
 from repro.exec import SupervisionPolicy, run_parallel_sweep
@@ -120,7 +119,6 @@ class DesignOptimizer:
 
     # -- evaluation ----------------------------------------------------------
 
-    @deterministic_under_seed
     def _evaluate(self, cells: int, word_bits: int,
                   vdd: float) -> DesignCandidate | None:
         if self.total_bits % (cells * word_bits):

@@ -71,8 +71,6 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.analysis.effects import (mutates_global_state, observational,
-                                    pure)
 from repro.checkpoint import (BudgetClock, Checkpoint, RunBudget,
                               SweepOutcome)
 from repro.errors import ConfigurationError, DeadlineExceeded, ReproError
@@ -99,17 +97,15 @@ _SETTLE_SECONDS = 5.0
 # -- worker side ----------------------------------------------------------------
 
 
-@pure
 def _portable(exc: Exception) -> Exception:
     """``exc`` if it survives pickling, else a string-carrying stand-in."""
     try:
         pickle.loads(pickle.dumps(exc))
-    except Exception:  # noqa: D307 - the stand-in *is* the record
+    except Exception:  # the stand-in *is* the record
         return RuntimeError(f"{type(exc).__name__}: {exc}")
     return exc
 
 
-@pure
 def _status(exc: Exception) -> Tuple[str, Any]:
     """Classify one evaluation error as a ``(status, payload)`` pair."""
     if isinstance(exc, DeadlineExceeded):
@@ -128,8 +124,8 @@ def _attempt(call: Callable[[], Any], token: Any, span: int,
             return "ok", call()
         with sample_deadline(token, deadline, beat_every):
             return "ok", call()
-    except Exception as exc:  # noqa: D307 - not a swallow: classified and
-        return _status(exc)   # handed to the parent as a status
+    except Exception as exc:  # classified and handed to the parent
+        return _status(exc)
 
 
 def _evaluate(token: Any, chunk: Sequence[WorkItem],
@@ -158,7 +154,6 @@ def _evaluate(token: Any, chunk: Sequence[WorkItem],
     return [(status if status == "raise" else "split", payload)] * span
 
 
-@mutates_global_state
 def _run_chunk(token: Any, chunk: Sequence[WorkItem],
                deadline: Optional[float], beat_every: float,
                instrument: bool):
@@ -175,7 +170,7 @@ def _run_chunk(token: Any, chunk: Sequence[WorkItem],
         # The one sanctioned worker-side global mutation: fresh telemetry
         # instances whose snapshots the *parent* merges in submission
         # order — nothing recorded here is lost or racy.
-        obs.enable(registry=registry, tracer=obs.Tracer(),  # noqa: D303
+        obs.enable(registry=registry, tracer=obs.Tracer(),
                    events=event_log, timeseries=recorder)
     outcomes = [(status, _portable(payload) if status == "raise" else payload)
                 for status, payload in _evaluate(token, chunk, deadline,
@@ -188,7 +183,6 @@ def _run_chunk(token: Any, chunk: Sequence[WorkItem],
     return outcomes, telemetry
 
 
-@observational
 def _merge_telemetry(telemetry) -> None:
     """Fold one worker chunk's telemetry into the parent's instances."""
     if telemetry is None or not obs.is_enabled():

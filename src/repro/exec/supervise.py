@@ -41,9 +41,6 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from repro.analysis.effects import (deterministic_under_seed,
-                                    mutates_global_state, observational,
-                                    pure)
 from repro.errors import ConfigurationError, DeadlineExceeded
 
 #: First retry delay in seconds.
@@ -75,19 +72,16 @@ class SupervisionPolicy:
     seed: int = 0
 
     @property
-    @pure
     def enabled(self) -> bool:
         """True when any guard is active (deadline, watchdog, retry)."""
         return self.watched or self.max_retries > 0
 
     @property
-    @pure
     def watched(self) -> bool:
         """True when the parent must hear worker starts and heartbeats."""
         return (self.max_sample_seconds is not None
                 or self.hang_seconds is not None)
 
-    @pure
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on meaningless knobs."""
         if (self.max_sample_seconds is not None
@@ -98,14 +92,12 @@ class SupervisionPolicy:
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
 
-    @pure
     def beat_seconds(self) -> float:
         """Worker heartbeat period: a quarter of the hang window."""
         if self.hang_seconds is None:
             return 0.0
         return max(0.005, self.hang_seconds / 4.0)
 
-    @pure
     def describe(self) -> str:
         parts = []
         if self.max_sample_seconds is not None:
@@ -127,13 +119,11 @@ class TimeoutFailure:
     limit_s: float
     attempt: int
 
-    @pure
     def describe(self) -> str:
         return (f"{self.key}: {self.kind} after {self.elapsed_s:.3f}s "
                 f"(limit {self.limit_s:g}s, attempt {self.attempt})")
 
 
-@deterministic_under_seed
 def backoff_delay(policy: SupervisionPolicy, index: int,
                   attempt: int) -> float:
     """Retry delay for one (item, attempt): exponential + seeded jitter.
@@ -160,7 +150,6 @@ _BEAT_EVERY: float = 0.0  # min seconds between heartbeats (0 = off)
 _LAST_BEAT: float = 0.0
 
 
-@mutates_global_state
 def init_worker(channel: Any) -> None:
     """Pool initializer: adopt the parent's heartbeat queue.
 
@@ -177,7 +166,6 @@ def init_worker(channel: Any) -> None:
         pass
 
 
-@mutates_global_state
 def _arm(token: Any, deadline: Optional[float], beat_every: float) -> None:
     """Install the watchdog state :func:`tick` checks for one item."""
     global _TOKEN, _STARTED, _DEADLINE, _BEAT_EVERY, _LAST_BEAT
@@ -188,7 +176,6 @@ def _arm(token: Any, deadline: Optional[float], beat_every: float) -> None:
     _BEAT_EVERY = beat_every
 
 
-@mutates_global_state
 def _disarm() -> None:
     """Clear the watchdog state (item finished)."""
     global _TOKEN, _DEADLINE, _BEAT_EVERY
@@ -197,7 +184,6 @@ def _disarm() -> None:
     _BEAT_EVERY = 0.0
 
 
-@observational
 def announce(token: Any, span: int) -> None:
     """Tell the parent this process started ``span`` items of a flight.
 
@@ -208,16 +194,14 @@ def announce(token: Any, span: int) -> None:
         _send(("start", token, os.getpid(), span))
 
 
-@observational
 def _send(message: tuple) -> None:
     if _CHANNEL is not None:
         try:
             _CHANNEL.put(message)
-        except Exception:  # noqa: D307 - channel torn down: parent is
-            pass           # exiting, nobody is listening any more
+        except Exception:  # channel torn down: the parent is exiting,
+            pass           # nobody is listening any more
 
 
-@mutates_global_state
 def _note_beat(now: float) -> None:
     """Record and ship one heartbeat (throttle bookkeeping is global)."""
     global _LAST_BEAT
@@ -225,7 +209,6 @@ def _note_beat(now: float) -> None:
     _send(("beat", _TOKEN, os.getpid(), 0))
 
 
-@observational
 def tick() -> None:
     """Supervision hook for long loops (transient steps, recovery rungs).
 
@@ -233,8 +216,8 @@ def tick() -> None:
     (a) raises :class:`~repro.errors.DeadlineExceeded` once the item
     overruns its cooperative deadline, and (b) ships a throttled
     heartbeat so the parent's hang watchdog knows the item is alive.
-    Annotated ``@observational``: under a fault-free run it observes
-    the clock and never changes any computed value.
+    Under a fault-free run it observes the clock and never changes
+    any computed value.
     """
     if _TOKEN is None:
         return
@@ -243,8 +226,7 @@ def tick() -> None:
         raise DeadlineExceeded("sample exceeded its deadline",
                                elapsed=now - _STARTED, limit=_DEADLINE)
     if _BEAT_EVERY and now - _LAST_BEAT >= _BEAT_EVERY:
-        _note_beat(now)  # noqa: D303 - worker-local heartbeat bookkeeping,
-        #                  consumed by the parent over the queue
+        _note_beat(now)
 
 
 @contextlib.contextmanager
@@ -253,12 +235,11 @@ def sample_deadline(key: Any, seconds: Optional[float],
     """Arm :func:`tick` around one evaluation: a cooperative deadline of
     ``seconds`` and, in a watched worker, a heartbeat every
     ``beat_every`` seconds.  The one place the watchdog state is set."""
-    _arm(key, seconds, beat_every)  # noqa: D303 - worker-local
-    #                                 watchdog state for tick()
+    _arm(key, seconds, beat_every)
     try:
         yield
     finally:
-        _disarm()  # noqa: D303 - worker-local watchdog state
+        _disarm()
 
 
 @contextlib.contextmanager

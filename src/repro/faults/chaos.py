@@ -39,7 +39,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.analysis.effects import deterministic_under_seed
 from repro.checkpoint import Checkpoint
 from repro.errors import ConfigurationError, SimulationError
 from repro.exec import SupervisionPolicy, run_parallel_sweep
@@ -81,7 +80,6 @@ class ChaosPlan:
                 + ("; ".join(parts) if parts else "no injections"))
 
 
-@deterministic_under_seed
 def generate_chaos_plan(keys: Sequence[str],
                         seed: int,
                         scratch_dir: "str | pathlib.Path",
@@ -152,7 +150,6 @@ class _ChaosCall:
         return self.fn(*args)
 
 
-@deterministic_under_seed
 def _chaos_eval(child: np.random.SeedSequence) -> float:
     """The workload under attack: one draw from the sample's own
     stream, so any recomputation is bit-identical by construction.

@@ -52,7 +52,6 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Dict, Iterator, Optional, Union
 
-from repro.analysis.effects import mutates_global_state, observational
 from repro.obs.events import (DEFAULT_EVENT_CAPACITY, Event, EventLog,
                               NULL_EVENT_LOG, NullEventLog)
 from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
@@ -89,13 +88,11 @@ _events: EventLog = EventLog()
 _timeseries: TimeSeriesRecorder = TimeSeriesRecorder()
 
 
-@observational
 def is_enabled() -> bool:
     """Is instrumentation currently recording?"""
     return _enabled
 
 
-@mutates_global_state
 def enable(registry: Optional[MetricsRegistry] = None,
            tracer: Optional[Tracer] = None,
            events: Optional[EventLog] = None,
@@ -113,14 +110,12 @@ def enable(registry: Optional[MetricsRegistry] = None,
     _enabled = True
 
 
-@mutates_global_state
 def disable() -> None:
     """Turn instrumentation off (recorded data stays until reset)."""
     global _enabled
     _enabled = False
 
 
-@mutates_global_state
 def reset() -> None:
     """Clear every recorded metric, span, event and series."""
     _registry.reset()
@@ -129,19 +124,16 @@ def reset() -> None:
     _timeseries.reset()
 
 
-@observational
 def metrics() -> Union[MetricsRegistry, NullRegistry]:
     """The active registry — the null registry while disabled."""
     return _registry if _enabled else NULL_REGISTRY
 
 
-@observational
 def tracer() -> Tracer:
     """The active tracer (even while disabled, for inspection)."""
     return _tracer
 
 
-@observational
 def span(name: str, **attrs: Any) -> Union[Span, _NoopSpan]:
     """Open a (nested) timed span; no-op while disabled."""
     if not _enabled:
@@ -149,13 +141,11 @@ def span(name: str, **attrs: Any) -> Union[Span, _NoopSpan]:
     return _tracer.span(name, **attrs)
 
 
-@observational
 def events() -> Union[EventLog, NullEventLog]:
     """The active event log — the null log while disabled."""
     return _events if _enabled else NULL_EVENT_LOG
 
 
-@observational
 def event(kind: str, **payload: Any) -> None:
     """Emit one structured event; no-op while disabled.
 
@@ -167,20 +157,17 @@ def event(kind: str, **payload: Any) -> None:
         _events.emit(kind, **payload)
 
 
-@observational
 def timeseries() -> Union[TimeSeriesRecorder, NullTimeSeriesRecorder]:
     """The active time-series recorder — the null one while disabled."""
     return _timeseries if _enabled else NULL_TIMESERIES
 
 
-@observational
 def run_report(command: str, config: Dict[str, Any]) -> Dict[str, Any]:
     """Build the JSON-serialisable report of the current run."""
     return build_run_report(command, config, _registry, _tracer,
                             events=_events, timeseries=_timeseries)
 
 
-@mutates_global_state
 @contextlib.contextmanager
 def instrumented(registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,

@@ -94,7 +94,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.analysis.effects import deterministic_under_seed
 from repro.errors import ReproError, SimulationError
 from repro.exec.supervise import tick as _supervision_tick
 from repro.spice import linalg
@@ -1397,7 +1396,6 @@ class BatchTransientModel:
         return self.measure(result, params)
 
 
-@deterministic_under_seed
 def eval_model_batch(model: BatchTransientModel,
                      rngs: Sequence[np.random.Generator]) -> List[Outcome]:
     """Evaluate one model over per-sample generators as a single batch.

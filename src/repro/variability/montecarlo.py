@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.analysis.effects import deterministic_under_seed
 from repro.checkpoint import Checkpoint, GrowingList, RunBudget
 from repro.errors import ConfigurationError, SimulationError
 from repro.exec import SupervisionPolicy, run_parallel_sweep
@@ -85,11 +84,9 @@ class _Sample:
         self.model = model
         self.root = root
 
-    @deterministic_under_seed
     def rng(self, index: int) -> np.random.Generator:
         return np.random.default_rng(_child_sequence(self.root, index))
 
-    @deterministic_under_seed
     def __call__(self, index: int) -> float:
         return float(self.model(self.rng(index)))
 
@@ -99,7 +96,6 @@ class _BatchSample(_Sample):
     whole chunk to :meth:`chunk`, which solves it as one batch and
     reports an ``(ok, value_or_error)`` pair per sample."""
 
-    @deterministic_under_seed
     def chunk(self, args: List[Tuple[int]]) -> List[Tuple[bool, object]]:
         return eval_model_batch(
             self.model, [self.rng(index) for (index,) in args])

@@ -79,69 +79,6 @@ class TestLintCli:
         assert main(["lint", "--no-baseline", str(bad_file)]) == 1
 
 
-UNSEEDED_SOURCE = ("import numpy as np\n"
-                   "def draw():\n"
-                   "    return np.random.default_rng().normal()\n")
-SET_ORDER_SOURCE = ("def merge(results):\n"
-                    "    out = []\n"
-                    "    for key in set(results):\n"
-                    "        out.append(key)\n"
-                    "    return out\n")
-
-
-@pytest.fixture
-def unseeded_file(tmp_path):
-    # The montecarlo module name puts every function under the
-    # seeded-determinism contract (rule D301).
-    path = tmp_path / "montecarlo.py"
-    path.write_text(UNSEEDED_SOURCE)
-    return path
-
-
-class TestAuditCli:
-    def test_clean_file_exits_zero(self, clean_file, capsys):
-        assert main(["audit", str(clean_file)]) == 0
-        assert "no findings" in capsys.readouterr().out
-
-    def test_unseeded_rng_exits_one(self, unseeded_file, capsys):
-        assert main(["audit", str(unseeded_file)]) == 1
-        out = capsys.readouterr().out
-        assert "[D301]" in out and "seed" in out
-
-    def test_json_format(self, unseeded_file, capsys):
-        assert main(["audit", "--format", "json",
-                     str(unseeded_file)]) == 1
-        data = json.loads(capsys.readouterr().out)
-        assert data["version"] == 1
-        assert data["diagnostics"][0]["rule"] == "D301"
-
-    def test_warnings_pass_without_strict(self, tmp_path, capsys):
-        path = tmp_path / "ordering.py"
-        path.write_text(SET_ORDER_SOURCE)
-        assert main(["audit", str(path)]) == 0
-        assert main(["audit", "--strict", str(path)]) == 1
-        assert "[D304]" in capsys.readouterr().out
-
-    def test_write_baseline_then_clean_run(self, unseeded_file, tmp_path,
-                                           capsys):
-        baseline = tmp_path / "audit-baseline.json"
-        assert main(["audit", "--write-baseline", str(baseline),
-                     str(unseeded_file)]) == 0
-        assert baseline.is_file()
-        assert main(["audit", "--baseline", str(baseline),
-                     str(unseeded_file)]) == 0
-        assert "no findings" in capsys.readouterr().out
-
-    def test_audits_whole_package_directory(self, tmp_path, capsys):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "montecarlo.py").write_text(UNSEEDED_SOURCE)
-        (pkg / "other.py").write_text("def fine():\n    return 1\n")
-        assert main(["audit", str(pkg)]) == 1
-        assert "[D301]" in capsys.readouterr().out
-
-
 class TestCheckCli:
     def test_builtin_registry_passes(self, capsys):
         assert main(["check", "--no-baseline"]) == 0

@@ -10,7 +10,7 @@ from repro.analysis.diagnostics import all_rules
 REPO = pathlib.Path(__file__).resolve().parents[2]
 README = REPO / "README.md"
 
-_RULE_ID = re.compile(r"\b([LMD][123]\d\d)\b")
+_RULE_ID = re.compile(r"\b(L1\d\d|M2\d\d)\b")
 
 
 def readme_rule_ids():

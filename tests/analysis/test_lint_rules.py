@@ -232,6 +232,75 @@ class TestL109DirectLinalgSolve:
             "x = np.linalg.solve(a, b)  # noqa: L109\n") == []
 
 
+class TestL110SetOrder:
+    def test_loop_over_set_into_list_fires(self):
+        assert rules_of(
+            "def merge(results):\n"
+            "    out = []\n"
+            "    for key in set(results):\n"
+            "        out.append(key)\n"
+            "    return out\n") == ["L110"]
+
+    def test_set_difference_into_checkpoint_payload_fires(self):
+        # The shape of a resumed sweep listing its missing keys.
+        assert rules_of(
+            "def fold(state, done, keys):\n"
+            "    missing = set(keys) - set(done)\n"
+            "    for key in missing:\n"
+            "        state['failed'].append(key)\n") == ["L110"]
+
+    def test_comprehensions_over_sets_fire(self):
+        assert rules_of(
+            "def f(items, done):\n"
+            "    keys = {k for k, _v in items}\n"
+            "    a = {k: done[k] for k in keys}\n"
+            "    b = [k for k in list(keys | {'x'})]\n") == ["L110", "L110"]
+
+    def test_sorted_iteration_passes(self):
+        assert rules_of(
+            "def merge(results):\n"
+            "    out = []\n"
+            "    for key in sorted(set(results)):\n"
+            "        out.append(key)\n"
+            "    keys = sorted({k for k in results})\n"
+            "    return out, [k for k in keys]\n") == []
+
+    def test_unordered_use_of_a_set_passes(self):
+        # Membership, len() and order-free folds never expose set order.
+        assert rules_of(
+            "def f(done, keys):\n"
+            "    seen = set(done)\n"
+            "    total = 0\n"
+            "    for key in seen:\n"
+            "        total += len(key)\n"
+            "    return [k for k in keys if k in seen], len(seen)\n") == []
+
+    def test_rebound_name_is_no_longer_a_set(self):
+        assert rules_of(
+            "def f(done):\n"
+            "    keys = set(done)\n"
+            "    keys = sorted(keys)\n"
+            "    return [k for k in keys]\n") == []
+
+    def test_set_names_are_function_local(self):
+        assert rules_of(
+            "def f(done):\n"
+            "    keys = set(done)\n"
+            "    return len(keys)\n"
+            "def g(keys):\n"
+            "    return [k for k in keys]\n") == []
+
+    def test_severity_is_error(self):
+        (finding,) = lint_source(
+            "out = [k for k in {'a', 'b'}]\n", "src/example.py")
+        assert finding.severity.value == "error"
+        assert "sorted" in (finding.hint or "")
+
+    def test_noqa_suppresses(self):
+        assert rules_of(
+            "out = [k for k in {'a', 'b'}]  # noqa: L110\n") == []
+
+
 class TestRuleCatalogue:
     def test_every_rule_has_a_description(self):
-        assert set(LINT_RULES) == {f"L10{i}" for i in range(10)}
+        assert set(LINT_RULES) == {f"L1{i:02d}" for i in range(11)}

@@ -1,29 +1,25 @@
-"""The unified rule-ID registry: one namespace across lint (L1xx),
-check (M2xx) and audit (D3xx), with collisions rejected at import."""
+"""The unified rule-ID registry: one namespace across lint (L1xx) and
+check (M2xx), with collisions rejected at import."""
 
 import pytest
 
 from repro.analysis.diagnostics import all_rules, register_rules
 from repro.analysis.lint import LINT_RULES
 from repro.analysis.model import MODEL_RULES
-from repro.analysis.purity import AUDIT_RULES
 
 
 class TestRegistry:
-    def test_all_three_families_registered(self):
+    def test_both_families_registered(self):
         merged = all_rules()
         assert set(LINT_RULES) <= set(merged)
         assert set(MODEL_RULES) <= set(merged)
-        assert set(AUDIT_RULES) <= set(merged)
 
     def test_no_id_claimed_twice(self):
-        assert len(all_rules()) == (
-            len(LINT_RULES) + len(MODEL_RULES) + len(AUDIT_RULES))
+        assert len(all_rules()) == len(LINT_RULES) + len(MODEL_RULES)
 
     def test_families_use_disjoint_prefixes(self):
         assert all(rule.startswith("L1") for rule in LINT_RULES)
         assert all(rule.startswith("M2") for rule in MODEL_RULES)
-        assert all(rule.startswith("D3") for rule in AUDIT_RULES)
 
     def test_reregistering_identical_rules_is_idempotent(self):
         # Module reloads (pytest importmode quirks, REPL reloads) must

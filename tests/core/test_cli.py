@@ -104,6 +104,22 @@ def test_analytic_commands_do_not_load_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_runtime_modules_do_not_load_static_analysis():
+    """Only ``repro lint``/``repro check`` import ``repro.analysis``."""
+    script = (
+        "import sys\n"
+        "import repro, repro.obs, repro.checkpoint, repro.exec.parallel\n"
+        "import repro.variability.montecarlo, repro.core.designspace\n"
+        "import repro.core.optimizer, repro.faults.chaos\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('repro.analysis')))\n")
+    src = str(pathlib.Path(repro.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
+
+
 class TestInstrumentation:
     def test_metrics_out_writes_run_report(self, tmp_path, capsys):
         out = tmp_path / "run.json"

@@ -12,7 +12,7 @@ class TestSeedFlag:
             a for a in parser._actions
             if isinstance(a, type(parser._subparsers._group_actions[0])))
         for command in subparser_action.choices:
-            if command in ("lint", "audit"):
+            if command == "lint":
                 extra = ["src"]
             elif command == "obs":  # nested family: seed rides on export
                 extra = ["export", "report.json"]
