@@ -14,7 +14,6 @@ import pathlib
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BASELINES_DIR = pathlib.Path(__file__).parent / "baselines"
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 #: Default fraction a throughput metric may fall below its committed
 #: baseline before the perf-smoke job fails the build.
@@ -33,17 +32,15 @@ def record_result(experiment: str, text: str) -> None:
 def record_json(experiment: str, payload: dict) -> None:
     """Persist one experiment's machine-readable metrics.
 
-    ``BENCH_*`` experiments are additionally copied to the repository
-    root: those are the canonical committed baselines that
-    ``repro obs diff BENCH_solver.json benchmarks/results/BENCH_solver.json``
-    gates against, so running the benchmarks refreshes them in place.
+    ``BENCH_*`` reports land in ``benchmarks/results/``; compare one
+    with its gated floors through
+    ``repro obs diff benchmarks/baselines/BENCH_solver.json
+    benchmarks/results/BENCH_solver.json``.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     path = RESULTS_DIR / f"{experiment}.json"
     path.write_text(text)
-    if experiment.startswith("BENCH_"):
-        (REPO_ROOT / f"{experiment}.json").write_text(text)
     print(f"\n=== {experiment} ===")
     print(text.rstrip("\n"))
 

@@ -1,13 +1,15 @@
-"""Solver fast-path throughput: compiled stamp plan vs legacy stamping.
+"""Solver assembly throughput: compiled stamp plan vs per-element stamping.
 
 The compiled :class:`~repro.spice.stampplan.StampPlan` must deliver at
 least a 3x timesteps/sec improvement on the paper's 16-cell local-block
-read transient while staying bit-identical to the legacy per-element
-stamping loop.  Legacy/fast runs are interleaved in pairs and the
-*median* per-pair ratio is asserted, which cancels the slow drift of a
-noisy shared machine; per-run throughput (timesteps/sec, Newton
-iterations/sec) is measured through the instrumentation counters the
-solver already emits.
+read transient while staying bit-identical to per-element stamping.
+The per-element side is the test oracle (``tests/spice/oracle.py``),
+swapped in for the plan under the same Newton loop, so the ratio
+compares the two assemblies alone.  Oracle ("legacy") and plan ("fast")
+runs are interleaved in pairs and the *median* per-pair ratio is
+asserted, which cancels the slow drift of a noisy shared machine;
+per-run throughput (timesteps/sec, Newton iterations/sec) is measured
+through the instrumentation counters the solver already emits.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.array.localblock import build_localblock_read_circuit
 from repro.spice import simulate_transient
 from repro.units import ns, ps
 from benchmarks._util import check_regression, record_json, record_result
+from tests.spice.oracle import oracle_plans
 
 MIN_SPEEDUP = 3.0
 PAIRS = 5
@@ -38,13 +41,12 @@ def _localblock():
     return circuit, initial
 
 
-def _run(circuit, initial, stamp_plan):
+def _run(circuit, initial):
     """One instrumented transient; returns (result, seconds, counters)."""
     with obs.instrumented() as registry:
         start = time.perf_counter()
         result = simulate_transient(circuit, t_stop=T_STOP, dt=DT,
-                                    initial_voltages=initial,
-                                    stamp_plan=stamp_plan)
+                                    initial_voltages=initial)
         elapsed = time.perf_counter() - start
         snapshot = registry.snapshot()
     steps = snapshot["counters"]["spice.timesteps"]
@@ -58,8 +60,9 @@ def test_stamp_plan_speedup_and_bit_identity():
     ratios, fast_rates, legacy_rates, newton_rates = [], [], [], []
     reference = None
     for _ in range(PAIRS):
-        legacy, t_legacy, steps, _ = _run(circuit, initial, stamp_plan=False)
-        fast, t_fast, _, iters = _run(circuit, initial, stamp_plan=True)
+        with oracle_plans():
+            legacy, t_legacy, steps, _ = _run(circuit, initial)
+        fast, t_fast, _, iters = _run(circuit, initial)
         # The speedup must never buy numerical drift.
         assert np.array_equal(fast.data, legacy.data)
         if reference is None:
@@ -84,7 +87,7 @@ def test_stamp_plan_speedup_and_bit_identity():
     }
     record_json("BENCH_solver", metrics)
     record_result("solver_throughput", "\n".join([
-        "stamp-plan fast path vs legacy stamping, 16-cell local block:",
+        "stamp plan vs per-element stamping oracle, 16-cell local block:",
         f"  timesteps/sec fast   : {metrics['timesteps_per_sec_fast']:10.1f}",
         f"  timesteps/sec legacy : "
         f"{metrics['timesteps_per_sec_legacy']:10.1f}",

@@ -13,9 +13,6 @@ Rules
           ``lower_snake.case`` convention
 ``L106``  one metric name used with conflicting instrument kinds
           (e.g. both ``counter`` and ``gauge``)
-``L107``  per-element Python-loop stamping (``for el in ...:
-          el.stamp(...)``) — the hot solver paths should go through a
-          compiled :class:`repro.spice.stampplan.StampPlan` instead
 ``L108``  structured-event kind (``obs.event(...)`` / ``.emit(...)``)
           breaking the dotted ``lower_snake.case`` convention, or one
           kind emitted with conflicting payload-key signatures across
@@ -56,7 +53,6 @@ LINT_RULES: Dict[str, str] = register_rules("lint", {
     "L104": "mutable default argument",
     "L105": "obs metric/span name violates the naming convention",
     "L106": "metric name used with conflicting instrument kinds",
-    "L107": "per-element Python-loop stamping; compile a StampPlan instead",
     "L108": "event kind violates naming or payload-schema discipline",
     "L109": "direct linalg solve outside spice/linalg.py; use the "
             "shared kernel layer",
@@ -328,7 +324,6 @@ class _LintVisitor(ast.NodeVisitor):
 
     def visit_For(self, node: ast.For) -> None:
         self._exempt_tolerance_targets([node.target], node.iter)
-        self._check_stamp_loop(node)
         self._check_set_loop(node)
         self._bind_set_names([node.target], None)
         self.generic_visit(node)
@@ -393,29 +388,6 @@ class _LintVisitor(ast.NodeVisitor):
 
     visit_ListComp = _visit_ordered_comprehension
     visit_DictComp = _visit_ordered_comprehension
-
-    # -- L107: per-element stamping loops ---------------------------------------
-
-    def _check_stamp_loop(self, node: ast.For) -> None:
-        """Flag ``for el in ...: el.stamp(...)`` — the pattern the
-        compiled stamp plan replaces on the solver hot paths."""
-        if not isinstance(node.target, ast.Name):
-            return
-        target = node.target.id
-        for child in ast.walk(node):
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "stamp"
-                    and isinstance(child.func.value, ast.Name)
-                    and child.func.value.id == target):
-                self._emit(
-                    "L107", Severity.WARNING,
-                    f"per-element stamping loop over {target!r}; each "
-                    "Newton iterate pays a Python call per element",
-                    node,
-                    hint="compile the circuit into a "
-                         "repro.spice.stampplan.StampPlan and replay it")
-                return
 
     def visit_Constant(self, node: ast.Constant) -> None:
         if (not self.is_units_module

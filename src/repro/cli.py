@@ -489,8 +489,9 @@ def cmd_obs_diff(args: argparse.Namespace) -> int:
 
     A metric that moved against its good direction (throughput down,
     duration up, ...) by more than ``--threshold`` is a regression —
-    the non-zero exit is what lets CI gate on
-    ``repro obs diff BENCH_solver.json new/BENCH_solver.json``.
+    the non-zero exit is what lets a script gate on e.g.
+    ``repro obs diff benchmarks/baselines/BENCH_solver.json
+    benchmarks/results/BENCH_solver.json``.
     Identical reports always diff clean (exit 0, zero deltas).
     """
     from repro.errors import ConfigurationError

@@ -14,8 +14,9 @@ Each metric is classified by name into a *direction*: higher-better
 (throughputs, speedups, rates, hits), lower-better (durations, stalls,
 misses, failures) or neutral.  A relative change beyond the threshold
 against a metric's good direction is a **regression**; the CLI exits
-non-zero when any exists, which is what lets CI gate on
-``repro obs diff BENCH_solver.json benchmarks/results/BENCH_solver.json``.
+non-zero when any exists, e.g. on
+``repro obs diff benchmarks/baselines/BENCH_solver.json
+benchmarks/results/BENCH_solver.json``.
 """
 
 from __future__ import annotations

@@ -8,12 +8,16 @@ This package stands in for the SPICE box of the paper's methodology flow
   curves (bidirectional, so pass transistors and charge sharing work),
 * a DC operating-point solver (Newton + gmin stepping),
 * a fixed-step transient engine (backward Euler or trapezoidal) with
-  Newton iteration per step,
+  Newton iteration per step, and a batched twin that marches a stack of
+  same-topology Monte-Carlo circuits through one Newton loop,
 * waveform measurements (crossings, delays, swings, source energy).
 
-It is intentionally dense-matrix and small-circuit oriented: the circuits
-simulated here (a local block, a sense amplifier, a bitline) have tens of
-nodes, where dense numpy linear algebra is both simplest and fastest.
+Every Newton iterate is assembled by a compiled
+:class:`~repro.spice.stampplan.StampPlan` and solved by dense LAPACK LU
+for circuits of tens of nodes (a local block, a sense amplifier) or by
+a pattern-compiled sparse LU from
+:data:`~repro.spice.stampplan.SPARSE_AUTO_THRESHOLD` unknowns (the
+289-unknown hierarchical global bitline).
 """
 
 from repro.spice.netlist import Circuit, GROUND

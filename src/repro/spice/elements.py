@@ -11,7 +11,6 @@ import math
 from typing import Callable, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError, NetlistError
-from repro.spice.mna import StampContext
 from repro.spice.netlist import CircuitElement
 
 Waveform = Callable[[float], float]
@@ -88,9 +87,6 @@ class Resistor(CircuitElement):
     def terminals(self) -> List[str]:
         return [self.node_a, self.node_b]
 
-    def stamp(self, ctx: StampContext) -> None:
-        ctx.system.stamp_conductance(self.node_a, self.node_b, 1.0 / self.resistance)
-
     def current(self, v_a: float, v_b: float) -> float:
         """Current flowing a -> b."""
         return (v_a - v_b) / self.resistance
@@ -121,43 +117,6 @@ class Capacitor(CircuitElement):
     def terminal_roles(self) -> List[Tuple[str, str]]:
         return [(self.node_a, "capacitive"), (self.node_b, "capacitive")]
 
-    def stamp(self, ctx: StampContext) -> None:
-        if ctx.dt is None:
-            ctx.system.stamp_conductance(self.node_a, self.node_b, ctx.gmin)
-            return
-        v_prev = ctx.voltage(self.node_a, previous=True) - ctx.voltage(
-            self.node_b, previous=True
-        )
-        if ctx.integrator == "trap":
-            geq = 2.0 * self.capacitance / ctx.dt
-            i_prev = 0.0 if ctx.cap_state is None else ctx.cap_state.get(self.name, 0.0)
-            ieq = geq * v_prev + i_prev
-        else:  # backward Euler
-            geq = self.capacitance / ctx.dt
-            ieq = geq * v_prev
-        ctx.system.stamp_conductance(self.node_a, self.node_b, geq)
-        # History current flows b -> a (it opposes discharging).
-        ctx.system.stamp_current(self.node_b, self.node_a, ieq)
-
-    def branch_current(self, ctx: StampContext, x_new) -> float:
-        """Current a -> b at the accepted solution ``x_new`` (for trap state)."""
-        if ctx.dt is None:
-            return 0.0
-        system = ctx.system
-
-        def v(vector, node):
-            idx = system.index(node)
-            return 0.0 if idx < 0 else float(vector[idx])
-
-        v_new = v(x_new, self.node_a) - v(x_new, self.node_b)
-        v_prev = ctx.voltage(self.node_a, previous=True) - ctx.voltage(
-            self.node_b, previous=True
-        )
-        if ctx.integrator == "trap":
-            i_prev = 0.0 if ctx.cap_state is None else ctx.cap_state.get(self.name, 0.0)
-            return 2.0 * self.capacitance / ctx.dt * (v_new - v_prev) - i_prev
-        return self.capacitance / ctx.dt * (v_new - v_prev)
-
 
 class VoltageSource(CircuitElement):
     """Independent voltage source; the branch current flows p -> n inside
@@ -179,12 +138,6 @@ class VoltageSource(CircuitElement):
     def is_source(self) -> bool:
         return True
 
-    def stamp(self, ctx: StampContext) -> None:
-        ctx.system.stamp_voltage_source(
-            self.name, self.node_p, self.node_n,
-            self.waveform(ctx.time) * ctx.source_scale
-        )
-
 
 class CurrentSource(CircuitElement):
     """Independent current source pushing current from -> to."""
@@ -200,10 +153,6 @@ class CurrentSource(CircuitElement):
 
     def terminal_roles(self) -> List[Tuple[str, str]]:
         return [(self.node_from, "injection"), (self.node_to, "injection")]
-
-    def stamp(self, ctx: StampContext) -> None:
-        ctx.system.stamp_current(self.node_from, self.node_to,
-                                 self.waveform(ctx.time) * ctx.source_scale)
 
 
 class Diode(CircuitElement):
@@ -246,13 +195,6 @@ class Diode(CircuitElement):
         g = self.i_sat * e / self.v_t
         i = self.i_sat * (e - 1.0) + g * (v - self.v_clip)
         return i, g
-
-    def stamp(self, ctx: StampContext) -> None:
-        v = ctx.voltage(self.anode) - ctx.voltage(self.cathode)
-        i, g = self.current_and_conductance(v)
-        ctx.system.stamp_conductance(self.anode, self.cathode, g)
-        # Companion current source carries the linearisation residue.
-        ctx.system.stamp_current(self.anode, self.cathode, i - g * v)
 
 
 class Switch(CircuitElement):
@@ -299,8 +241,3 @@ class Switch(CircuitElement):
         else:
             frac = 1.0 / (1.0 + math.exp(-arg))
         return self.g_off + (self.g_on - self.g_off) * frac
-
-    def stamp(self, ctx: StampContext) -> None:
-        v_ctrl = ctx.voltage(self.ctrl_p) - ctx.voltage(self.ctrl_n)
-        ctx.system.stamp_conductance(self.node_a, self.node_b,
-                                     self.conductance(v_ctrl))

@@ -1,12 +1,12 @@
 """Shared dense LU kernels for the MNA solvers.
 
-Every dense solve in :mod:`repro.spice` — the legacy per-iterate path,
-the compiled :class:`~repro.spice.stampplan.StampPlan` fast path and
-the batched sample-axis solver, DC and transient alike — routes
-through LAPACK's ``dgetrf``/``dgetrs`` pair here.  That single-kernel
-rule is what makes the fast paths *bit-identical* to the legacy path:
-an identical matrix factorised by the same routine yields the
-identical solution.
+Every dense solve in :mod:`repro.spice` — the compiled
+:class:`~repro.spice.stampplan.StampPlan` and the batched sample-axis
+solver, DC and transient alike — routes through LAPACK's
+``dgetrf``/``dgetrs`` pair here.  That single-kernel rule is what makes
+the batch *bit-identical* to the scalar solve, and both to the
+per-element stamping oracle the tests keep: an identical matrix
+factorised by the same routine yields the identical solution.
 
 The raw LAPACK bindings skip :func:`scipy.linalg.lu_factor`'s per-call
 validation wrappers (about half the solve cost at MNA sizes) while
@@ -14,7 +14,7 @@ running the exact same kernels underneath.  Exact zero pivots raise
 :class:`numpy.linalg.LinAlgError` (matching the historic
 ``np.linalg.solve`` behaviour on singular systems); the structural
 diagnosis belongs to the caller
-(:meth:`repro.spice.mna.MnaSystem.solve`).
+(:meth:`repro.spice.mna.MnaSystem.singular_error`).
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def lu_backsolve(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
 
 
 def lu_solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One-shot factorise + solve (the legacy entry point)."""
+    """One-shot factorise + solve (the tests' reference solve)."""
     return lu_backsolve(lu_factorize(matrix), rhs)
 
 

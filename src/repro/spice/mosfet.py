@@ -6,11 +6,12 @@ terminal voltages, which is what makes pass-transistor behaviour (the
 DRAM cell access device, the write-after-read loop-cut switch of paper
 Fig. 4) come out right during charge sharing.
 
-The Newton companion model linearises the current around the present
-iterate with finite-difference transconductances.  Because the device
-current depends only on ``(vg - vs, vd - vs)``, the source
-transconductance follows exactly as ``gs = -(gm + gd)``, which keeps the
-stamp consistent.
+The Newton companion model (compiled by
+:class:`~repro.spice.stampplan.StampPlan`) linearises the current around
+the present iterate with finite-difference transconductances, stepping
+each terminal by ``_FD_STEP``.  Because the device current depends only
+on ``(vg - vs, vd - vs)``, the source transconductance follows exactly as
+``gs = -(gm + gd)``, which keeps the stamp consistent.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import List, Tuple
 
 from repro.tech.node import Polarity
 from repro.tech.transistor import Mosfet
-from repro.spice.mna import StampContext
 from repro.spice.netlist import CircuitElement
 from repro.units import mV
 
@@ -74,30 +74,3 @@ class MosfetElement(CircuitElement):
             return -magnitude  # flows source-terminal -> drain-terminal
         magnitude = self.device.drain_current(v_d - v_g, v_d - v_s)
         return magnitude
-
-    # -- stamping ---------------------------------------------------------------
-
-    def _operating_point(self, ctx: StampContext) -> Tuple[float, float, float]:
-        return (
-            ctx.voltage(self.drain),
-            ctx.voltage(self.gate),
-            ctx.voltage(self.source),
-        )
-
-    def stamp(self, ctx: StampContext) -> None:
-        v_d, v_g, v_s = self._operating_point(ctx)
-        i0 = self.current(v_d, v_g, v_s)
-        gd = (self.current(v_d + _FD_STEP, v_g, v_s) - i0) / _FD_STEP
-        gm = (self.current(v_d, v_g + _FD_STEP, v_s) - i0) / _FD_STEP
-        gs = -(gm + gd)
-        # Keep the stamp numerically tame: conductances must stay
-        # non-negative on the diagonal direction; gmin guards cutoff.
-        gd = max(gd, 0.0) + ctx.gmin
-        system = ctx.system
-        system.stamp_conductance(self.drain, self.source, gd)
-        system.stamp_transconductance(self.drain, self.source,
-                                      self.gate, self.source, gm)
-        # Residual current so the linear model matches i0 at the iterate.
-        i_lin = gd * (v_d - v_s) + gm * (v_g - v_s)
-        system.stamp_current(self.drain, self.source, i0 - i_lin)
-        del gs  # folded into the (out, in)=(d-s, g-s) difference stamps

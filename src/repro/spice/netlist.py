@@ -95,13 +95,16 @@ class Circuit:
 class CircuitElement:
     """Base class for all circuit elements.
 
-    Subclasses define ``terminals()`` plus the stamping interface used by
-    :mod:`repro.spice.mna`:
+    Subclasses define ``terminals()``, ``terminal_roles()`` and:
 
     * ``is_source()`` — whether the element introduces a branch-current
-      unknown (voltage sources do).
-    * ``stamp(system, state)`` — add the element's contribution for the
-      current Newton iterate / time step.
+      unknown (voltage sources do; see :class:`repro.spice.mna.MnaSystem`).
+    * ``is_nonlinear()`` — whether the element needs re-linearising every
+      Newton iterate.
+
+    The solver does not ask an element to stamp itself:
+    :class:`repro.spice.stampplan.StampPlan` compiles the seven built-in
+    element types and rejects any other.
     """
 
     def __init__(self, name: str) -> None:

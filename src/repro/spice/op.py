@@ -19,52 +19,32 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ConvergenceError
-from repro.spice.mna import MnaSystem, StampContext
+from repro.errors import ConvergenceError
+from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit
 from repro.spice.recovery import (DEFAULT_RECOVERY, RecoveryConfig,
                                   RecoveryReport, note_recovery_success)
-from repro.spice.stampplan import StampPlan, stamping_order
+from repro.spice.stampplan import StampPlan
 
 _MAX_NEWTON = 200
 _V_TOL = 1e-9
 _DAMP_LIMIT = 0.3  # volts per Newton update
 
 
-def _newton_solve(system: MnaSystem, circuit: Circuit, x0: np.ndarray,
-                  gmin: float, time: float,
-                  max_newton: Optional[int] = None,
+def _newton_solve(plan: StampPlan, x0: np.ndarray, gmin: float,
+                  time: float, max_newton: Optional[int] = None,
                   damp_limit: float = _DAMP_LIMIT,
-                  source_scale: float = 1.0,
-                  plan: Optional[StampPlan] = None) -> np.ndarray:
+                  source_scale: float = 1.0) -> np.ndarray:
     x = x0.copy()
-    n_nodes = len(system.node_index)
+    n_nodes = len(plan.system.node_index)
     budget = _MAX_NEWTON if max_newton is None else max_newton
-    if plan is not None:
-        # gmin doubles as the per-node leak: the base matrix carries the
-        # capacitor-gmin stamps (part of the cache key) and extra_gmin
-        # replays the diagonal leak the legacy loop adds per iterate.
-        point = plan.begin_point(t=time, dt=None, gmin=gmin,
-                                 extra_gmin=gmin,
-                                 source_scale=source_scale)
-        order = None
-    else:
-        point = None
-        order = stamping_order(circuit)
+    # gmin doubles as the per-node leak: the base matrix carries the
+    # capacitor-gmin stamps and extra_gmin adds the diagonal leak that
+    # keeps the matrix non-singular.
+    point = plan.begin_point(t=time, dt=None, gmin=gmin, extra_gmin=gmin,
+                             source_scale=source_scale)
     for _iteration in range(budget):
-        if plan is not None:
-            x_new = plan.solve_iterate(point, x)
-        else:
-            system.reset()
-            ctx = StampContext(system=system, x=x, dt=None, time=time,
-                               gmin=gmin, source_scale=source_scale)
-            for element in order:  # noqa: L107 - the legacy reference path
-                element.stamp(ctx)
-            # gmin stepping leak on every node keeps the matrix
-            # non-singular.
-            for idx in range(n_nodes):
-                system.matrix[idx, idx] += gmin
-            x_new = system.solve()
+        x_new = plan.solve_iterate(point, x)
         delta = x_new - x
         # Damp node-voltage updates only (branch currents move freely).
         v_delta = delta[:n_nodes]
@@ -75,32 +55,28 @@ def _newton_solve(system: MnaSystem, circuit: Circuit, x0: np.ndarray,
         if max_step < _V_TOL:
             return x
     raise ConvergenceError(
-        f"DC Newton failed to converge for circuit {circuit.name!r} "
-        f"(gmin={gmin:g})",
+        f"DC Newton failed to converge for circuit "
+        f"{plan.system.circuit.name!r} (gmin={gmin:g})",
         iterations=budget,
     )
 
 
-def _gmin_walk(system: MnaSystem, circuit: Circuit, x0: np.ndarray,
-               time: float, config: RecoveryConfig,
-               damp_limit: float = _DAMP_LIMIT,
-               source_scale: float = 1.0,
-               plan: Optional[StampPlan] = None) -> np.ndarray:
+def _gmin_walk(plan: StampPlan, x0: np.ndarray, time: float,
+               config: RecoveryConfig, damp_limit: float = _DAMP_LIMIT,
+               source_scale: float = 1.0) -> np.ndarray:
     """The decade-by-decade gmin relaxation, warm-started throughout."""
     x = x0
     for gmin in config.gmin_ladder:
-        x = _newton_solve(system, circuit, x, gmin, time,
+        x = _newton_solve(plan, x, gmin, time,
                           max_newton=config.max_newton,
                           damp_limit=damp_limit,
-                          source_scale=source_scale,
-                          plan=plan)
+                          source_scale=source_scale)
     return x
 
 
 def solve_dc(circuit: Circuit, time: float = 0.0,
              initial_guess: Optional[Dict[str, float]] = None,
              recovery: Optional[RecoveryConfig] = None,
-             stamp_plan: bool = True,
              backend: str = "auto") -> Dict[str, float]:
     """Solve the DC operating point; returns node-name -> voltage.
 
@@ -111,17 +87,14 @@ def solve_dc(circuit: Circuit, time: float = 0.0,
     :class:`~repro.errors.ConvergenceError` carries the full
     :class:`~repro.spice.recovery.RecoveryReport` as ``.recovery``.
 
-    ``backend`` selects the fast-path linear kernel (``"dense"``,
+    ``backend`` selects the stamp plan's linear kernel (``"dense"``,
     ``"sparse"`` or ``"auto"``), exactly as in
     :func:`repro.spice.transient.simulate_transient`.
     """
     if recovery is None:
         recovery = DEFAULT_RECOVERY
     system = MnaSystem(circuit)
-    if not stamp_plan and backend == "sparse":
-        raise ConfigurationError(
-            "backend='sparse' requires the stamp-plan fast path")
-    plan = StampPlan(system, backend=backend) if stamp_plan else None
+    plan = StampPlan(system, backend=backend)
     x0 = np.zeros(system.size)
     if initial_guess:
         for node, voltage in initial_guess.items():
@@ -139,7 +112,7 @@ def solve_dc(circuit: Circuit, time: float = 0.0,
 
     # Rung 0: the standard gmin walk (the solver's normal operation).
     try:
-        x = _gmin_walk(system, circuit, x0, time, recovery, plan=plan)
+        x = _gmin_walk(plan, x0, time, recovery)
     except ConvergenceError as exc:
         last_error = exc
         report.record("newton", "standard gmin walk", converged=False)
@@ -152,8 +125,7 @@ def solve_dc(circuit: Circuit, time: float = 0.0,
         for factor in recovery.damping_factors:
             limit = _DAMP_LIMIT * factor
             try:
-                x = _gmin_walk(system, circuit, x0, time, recovery,
-                               damp_limit=limit, plan=plan)
+                x = _gmin_walk(plan, x0, time, recovery, damp_limit=limit)
             except ConvergenceError as exc:
                 last_error = exc
                 report.record("damping", f"damp_limit={limit:g}V",
@@ -169,8 +141,7 @@ def solve_dc(circuit: Circuit, time: float = 0.0,
         x = x0
         try:
             for alpha in recovery.source_ladder:
-                x = _gmin_walk(system, circuit, x, time, recovery,
-                               source_scale=alpha, plan=plan)
+                x = _gmin_walk(plan, x, time, recovery, source_scale=alpha)
                 report.record("source", f"sources={100 * alpha:g}%",
                               converged=True)
             return finish(x)

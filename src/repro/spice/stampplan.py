@@ -1,25 +1,22 @@
-"""Compiled stamp plans: the solver fast path.
+"""Compiled stamp plans: the one MNA assembly path.
 
-The legacy Newton loop re-stamps *every* element of the circuit into a
-zeroed dense matrix on *every* iterate, through the string-keyed
-:class:`~repro.spice.mna.StampContext` API.  For the paper's local-block
-fixtures that plumbing — dict lookups, per-element Python calls,
-property chains down to the technology tables — dominates the solve.
-
-A :class:`StampPlan` compiles a circuit once per :class:`MnaSystem`:
+A :class:`StampPlan` compiles a circuit once per :class:`MnaSystem`,
+so a Newton iterate never walks the elements through string-keyed node
+lookups:
 
 * the circuit is partitioned into **linear** elements (resistor,
   capacitor, voltage source, current source) and the **nonlinear rest**
   (diode, switch, MOSFET); a plan accepts exactly these seven element
-  types and raises :class:`~repro.errors.ConfigurationError` on any
-  other (``stamp_plan=False`` runs such circuits on the legacy loop);
+  types and raises :class:`~repro.errors.ConfigurationError` naming any
+  other;
 * the linear *matrix* contributions are assembled once per
   ``(dt, integrator, gmin)`` key and cached — per Newton iterate the
   base is block-copied, never re-stamped;
 * the linear *RHS* contributions (source waveforms, capacitor history
   currents) are assembled once per solve point; the capacitor history
   scatter is vectorised with ``np.add.at`` over precompiled index
-  arrays;
+  arrays, and :meth:`StampPlan.capacitor_currents` advances the
+  trapezoidal history as one array in the plan's capacitor order;
 * nonlinear elements are compiled to per-element *value fillers* with
   node indices resolved to integers once; their matrix/RHS writes
   replay through two ``np.add.at`` scatters over index/sign arrays
@@ -33,21 +30,21 @@ factorisation cache would only add key hashing to every solve.
 
 **Backends.**  ``backend`` selects the linear kernel: ``"dense"`` (the
 default — LAPACK LU via :mod:`repro.spice.linalg` on the plan's
-persistent ``n x n`` buffer, bit-identical to the legacy path),
-``"sparse"`` (the pattern-compiled CSR path of :mod:`repro.spice.sparse`
-— the value array is the frozen pattern's values, never an O(n²)
-matrix), or ``"auto"`` (sparse at and above ``SPARSE_AUTO_THRESHOLD``
-unknowns, dense below; the crossover is calibrated by
-``benchmarks/test_sparse_throughput.py``).
+persistent ``n x n`` buffer), ``"sparse"`` (the pattern-compiled CSR
+path of :mod:`repro.spice.sparse` — the value array is the frozen
+pattern's values, never an O(n²) matrix), or ``"auto"`` (sparse at and
+above ``SPARSE_AUTO_THRESHOLD`` unknowns, dense below; the crossover is
+calibrated by ``benchmarks/test_sparse_throughput.py``).
 
-**Bit-identity contract.**  Both the plan and the legacy path stamp in
-the canonical order of :func:`stamping_order` (linear groups by type in
-circuit order, then the rest in circuit order), every compiled closure
-replays the exact arithmetic of the element's ``stamp()`` (same
-expression trees, same accumulation order — IEEE addition is not
-associative, so order *is* the contract), and both paths factorise
-through :mod:`repro.spice.linalg`.  ``tests/spice/test_stampplan.py``
-asserts ``TransientResult.data`` equality to the last bit.
+**Bit-identity contract.**  The plan accumulates every matrix and RHS
+cell in the order of a sequential per-element walk in
+:func:`stamping_order` (linear groups by type in circuit order, then
+the rest in circuit order) with the textbook companion-model
+arithmetic (same expression trees — IEEE addition is not associative,
+so order *is* the contract).  ``tests/spice/oracle.py`` keeps that walk
+as the test oracle; ``tests/spice/test_stampplan.py`` runs both through
+the same Newton loops and asserts ``TransientResult.data`` equality to
+the last bit.
 """
 
 from __future__ import annotations
@@ -105,7 +102,7 @@ def resolve_backend(backend: str, size: int) -> str:
 
 
 def stamping_order(circuit) -> List[CircuitElement]:
-    """The canonical element stamping order shared by both solver paths.
+    """The canonical element stamping order of every assembly.
 
     Linear elements grouped by type — resistors, capacitors, voltage
     sources, current sources, each group in circuit order — followed by
@@ -162,7 +159,6 @@ class StampPlan:
 
         self._resistors: List[Tuple[int, int, float]] = []
         self._cap_entries: List[Tuple[int, int, float]] = []
-        self._cap_names: List[str] = []
         self._vsources: List[Tuple[VoltageSource, int, int, int]] = []
         self._isources: List[Tuple[CurrentSource, int, int]] = []
         nonlinear: List[CircuitElement] = []
@@ -177,7 +173,6 @@ class StampPlan:
                 self._cap_entries.append((
                     self._idx(element.node_a), self._idx(element.node_b),
                     element.capacitance))
-                self._cap_names.append(element.name)
             elif kind is VoltageSource:
                 self._vsources.append((
                     element, system.branch(element.name),
@@ -189,10 +184,11 @@ class StampPlan:
             elif kind in _NONLINEAR_TYPES:
                 nonlinear.append(element)
             else:
+                supported = ", ".join(
+                    t.__name__ for t in _LINEAR_TYPES + _NONLINEAR_TYPES)
                 raise ConfigurationError(
-                    f"stamp plans compile only the built-in element types; "
-                    f"{kind.__name__} {element.name!r} needs "
-                    f"stamp_plan=False")
+                    f"{kind.__name__} {element.name!r} is not a supported "
+                    f"element type; the solver compiles only {supported}")
 
         # Nonlinear elements compile to *value fillers*: per iterate
         # each computes its companion-model values (conductances plus
@@ -201,7 +197,7 @@ class StampPlan:
         # index/slot/sign arrays frozen at compile time in canonical
         # write order (np.add.at applies unbuffered, in index order, so
         # per-cell accumulation order — and therefore rounding — is
-        # identical to the sequential legacy walk).
+        # identical to a sequential per-element walk).
         self._fillers: List[Callable] = []
         m_writes: List[Tuple[int, int, float]] = []
         r_writes: List[Tuple[int, int, float]] = []
@@ -231,12 +227,13 @@ class StampPlan:
             self._cap_ia[j] = ia if ia >= 0 else ground_slot
             self._cap_ib[j] = ib if ib >= 0 else ground_slot
             self._cap_c[j] = c
-            # Replays stamp_current(node_b, node_a, ieq): -ieq at b, +ieq
-            # at a, in that per-capacitor order.
+            # The history current ieq flows b -> a: -ieq at b, +ieq at
+            # a, in that per-capacitor order.
             rhs_idx[2 * j] = ib if ib >= 0 else ground_slot
             rhs_idx[2 * j + 1] = ia if ia >= 0 else ground_slot
         self._cap_rhs_idx = rhs_idx
-        # Scratch buffers for _point_rhs (overwritten every point).
+        # Scratch buffers for _cap_voltages/_point_rhs (overwritten on
+        # every call).
         self._xg_pad = np.zeros(self.size + 1)
         self._cap_vals = np.empty(2 * n_caps)
 
@@ -299,8 +296,8 @@ class StampPlan:
         Returns ``(fill, n_slots, matrix_writes, rhs_writes)`` where
         ``fill(x, vals, gmin)`` stores the element's companion values
         into ``vals[slot:slot + n_slots]`` and each write tuple
-        ``(flat_index, value_slot, sign)`` replays one legacy
-        ``+=``/``-=`` in its original order (``a -= v`` is exactly
+        ``(flat_index, value_slot, sign)`` is one ``+=``/``-=`` of the
+        element's textbook stamp, in its order (``a -= v`` is exactly
         ``a += (-1.0 * v)`` in IEEE arithmetic).
         """
         kind = type(element)
@@ -334,8 +331,8 @@ class StampPlan:
             vals[s_g] = g
             vals[s_res] = i - g * v
 
-        # stamp_conductance(anode, cathode, g) then
-        # stamp_current(anode, cathode, residue).
+        # Conductance g between anode and cathode, then the residue as
+        # a current anode -> cathode.
         m_writes = []
         if has_a:
             m_writes.append((a * size + a, s_g, 1.0))
@@ -378,7 +375,7 @@ class StampPlan:
                 frac = 1.0 / (1.0 + exp(-arg))
             vals[s_g] = g_off + g_span * frac
 
-        m_writes = []  # stamp_conductance(node_a, node_b, g)
+        m_writes = []  # conductance g between node_a and node_b
         if has_a:
             m_writes.append((a * size + a, s_g, 1.0))
         if has_b:
@@ -516,10 +513,10 @@ class StampPlan:
             i_lin = gd * (vd - vs) + gm * (vg - vs)
             vals[s_res] = i0 - i_lin
 
-        # stamp_conductance(drain, source, gd), then
-        # stamp_transconductance(drain, source, gate, source, gm)
-        # unrolled in the legacy (out, in) loop order, then
-        # stamp_current(drain, source, residue).
+        # Conductance gd between drain and source, then the
+        # transconductance gm (current gm*(vg - vs) drain -> source)
+        # unrolled in (out, in) order, then the residue as a current
+        # drain -> source.
         dd, ss = d * size + d, s * size + s
         ds, sd = d * size + s, s * size + d
         dg, sg = d * size + g_, s * size + g_
@@ -568,8 +565,8 @@ class StampPlan:
         """Sequentially stamp the linear matrix part, in canonical order.
 
         Built once per key then block-copied per iterate, so the Python
-        loop here replays the legacy accumulation order bit-for-bit at
-        compile time, not in the hot path.
+        loop here pays the sequential accumulation order at compile
+        time, not in the hot path.
         """
         m = np.zeros((self.size, self.size))
         for ia, ib, g in self._resistors:
@@ -591,22 +588,23 @@ class StampPlan:
                 m[br, in_] -= 1.0
         return m
 
+    def _cap_voltages(self, x: np.ndarray) -> np.ndarray:
+        """Every capacitor's voltage ``v(a) - v(b)`` at ``x``."""
+        xg = self._xg_pad  # trailing pad slot stays 0.0 (= ground)
+        xg[:-1] = x
+        return xg[self._cap_ia] - xg[self._cap_ib]
+
     def _point_rhs(self, t: float, dt: Optional[float], integrator: str,
                    source_scale: float,
                    x_history: Optional[np.ndarray],
-                   cap_state: Optional[Dict[str, float]]) -> np.ndarray:
+                   cap_state: Optional[np.ndarray]) -> np.ndarray:
         """Linear RHS of one solve point (canonical order: C, V, I)."""
         rhs = np.zeros(self.size + 1)  # final slot absorbs ground writes
         if dt is not None and len(self._cap_c):
-            xg = self._xg_pad  # trailing pad slot stays 0.0 (= ground)
-            xg[:-1] = x_history
-            v_prev = xg[self._cap_ia] - xg[self._cap_ib]
+            v_prev = self._cap_voltages(x_history)
             if integrator == "trap":
                 geq = 2.0 * self._cap_c / dt
-                i_prev = np.array([
-                    0.0 if cap_state is None else cap_state.get(name, 0.0)
-                    for name in self._cap_names])
-                ieq = geq * v_prev + i_prev
+                ieq = geq * v_prev + cap_state
             else:
                 geq = self._cap_c / dt
                 ieq = geq * v_prev
@@ -629,11 +627,15 @@ class StampPlan:
 
     def begin_point(self, *, t: float, dt: Optional[float] = None,
                     integrator: str = "be",
-                    cap_state: Optional[Dict[str, float]] = None,
+                    cap_state: Optional[np.ndarray] = None,
                     x_history: Optional[np.ndarray] = None,
                     gmin: float = 1e-12, extra_gmin: float = 0.0,
                     source_scale: float = 1.0) -> _SolvePoint:
-        """Precompute everything fixed across one point's Newton iterates."""
+        """Precompute everything fixed across one point's Newton iterates.
+
+        ``cap_state`` is the trapezoidal history (see
+        :meth:`capacitor_currents`); backward Euler and DC read none.
+        """
         return _SolvePoint(
             base=self._base(dt, integrator, gmin),
             rhs_point=self._point_rhs(t, dt, integrator, source_scale,
@@ -674,6 +676,21 @@ class StampPlan:
             raise self.system.singular_error() from exc
         return linalg.lu_backsolve(factors, rhs)
 
+    def capacitor_currents(self, x_new: np.ndarray, x_prev: np.ndarray,
+                           dt: float, integrator: str,
+                           cap_state: Optional[np.ndarray] = None
+                           ) -> np.ndarray:
+        """Every capacitor's current a -> b over a step ``x_prev -> x_new``.
+
+        The trapezoidal history the next point's :meth:`begin_point`
+        reads, in the plan's capacitor order; ``cap_state`` is the
+        history of the step itself (trapezoidal only).
+        """
+        dv = self._cap_voltages(x_new) - self._cap_voltages(x_prev)
+        if integrator == "trap":
+            return 2.0 * self._cap_c / dt * dv - cap_state
+        return self._cap_c / dt * dv
+
 
 def _pattern_couple(pattern: set, ia: int, ib: int, size: int) -> None:
     """Add the positions :func:`_add_conductance` writes to ``pattern``."""
@@ -687,7 +704,7 @@ def _pattern_couple(pattern: set, ia: int, ib: int, size: int) -> None:
 
 
 def _add_conductance(m: np.ndarray, ia: int, ib: int, g: float) -> None:
-    """Replay of :meth:`MnaSystem.stamp_conductance` on a raw matrix."""
+    """Stamp conductance ``g`` between two indexes (-1 is ground)."""
     if ia >= 0:
         m[ia, ia] += g
     if ib >= 0:
@@ -700,8 +717,8 @@ def _add_conductance(m: np.ndarray, ia: int, ib: int, g: float) -> None:
 def _mosfet_constants(element: MosfetElement) -> Tuple[float, ...]:
     """Hoist every process constant a mosfet evaluation needs.
 
-    The ``params`` property chain costs two dict lookups per call on
-    the legacy path; here it is paid once at compile time.  Shared by
+    The ``params`` property chain costs two dict lookups per access;
+    here it is paid once at compile time.  Shared by
     :meth:`StampPlan._compile_mosfet` and the batched MOSFET group of
     :mod:`repro.spice.batch`.
     """

@@ -1,7 +1,8 @@
 """Fixed-step transient engine.
 
 Each time point is solved with damped Newton iteration over the
-companion-model stamps of all elements.  Linear circuits converge in a
+companion models of all elements, assembled by a compiled
+:class:`~repro.spice.stampplan.StampPlan`.  Linear circuits converge in a
 single iteration; the MOSFET and switch elements make it genuinely
 nonlinear.  Backward Euler is the default (L-stable, forgiving);
 trapezoidal integration is available when waveform energy accuracy
@@ -13,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -21,11 +22,11 @@ from repro import obs
 from repro.errors import ConfigurationError, ConvergenceError, SimulationError
 from repro.exec.supervise import tick as _supervision_tick
 from repro.spice.elements import Capacitor
-from repro.spice.mna import MnaSystem, StampContext
+from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit
 from repro.spice.recovery import (DEFAULT_RECOVERY, RecoveryConfig,
                                   RecoveryReport, note_recovery_success)
-from repro.spice.stampplan import StampPlan, stamping_order
+from repro.spice.stampplan import StampPlan
 
 _log = logging.getLogger(__name__)
 
@@ -104,7 +105,6 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
                        initial_voltages: Optional[Dict[str, float]] = None,
                        integrator: str = "be",
                        recovery: Optional[RecoveryConfig] = None,
-                       stamp_plan: bool = True,
                        backend: str = "auto") -> TransientResult:
     """Simulate ``circuit`` from 0 to ``t_stop`` with fixed step ``dt``.
 
@@ -117,14 +117,9 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
     ``recovery`` tunes the escalation ladder walked when a time point
     fails to converge (see :mod:`repro.spice.recovery`).
 
-    ``stamp_plan`` selects the compiled fast path
-    (:class:`~repro.spice.stampplan.StampPlan`, the default) or the
-    legacy per-element stamping loop; both produce bit-identical
-    results — the flag exists for benchmarking and verification.
-
-    ``backend`` selects the linear kernel of the fast path: ``"dense"``,
-    ``"sparse"``, or ``"auto"`` (the default: sparse at and above
-    :data:`~repro.spice.stampplan.SPARSE_AUTO_THRESHOLD` unknowns).
+    ``backend`` selects the linear kernel of the stamp plan:
+    ``"dense"``, ``"sparse"``, or ``"auto"`` (the default: sparse at and
+    above :data:`~repro.spice.stampplan.SPARSE_AUTO_THRESHOLD` unknowns).
     The sparse backend agrees with dense within the documented
     tolerance (see ``docs/ARCHITECTURE.md`` §15) instead of bit-exactly
     — a different elimination order rounds differently.
@@ -142,20 +137,16 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
         raise SimulationError("t_stop shorter than one time step")
 
     system = MnaSystem(circuit)
-    if not stamp_plan and backend == "sparse":
-        raise ConfigurationError(
-            "backend='sparse' requires the stamp-plan fast path")
-    plan = StampPlan(system, backend=backend) if stamp_plan else None
-    n_unknowns = system.size
-    n_nodes = len(system.node_index)
+    plan = StampPlan(system, backend=backend)
 
     x = _initial_state(circuit, system, initial_voltages)
-
-    capacitors = [e for e in circuit.elements if isinstance(e, Capacitor)]
-    cap_state: Dict[str, float] = {c.name: 0.0 for c in capacitors}
+    # Trapezoidal history: every capacitor's current at the last
+    # accepted point, in the plan's capacitor order.  Backward Euler
+    # carries none; trapezoidal starts it after its first step.
+    cap_state: Optional[np.ndarray] = None
 
     times = np.linspace(0.0, steps * dt, steps + 1)
-    data = np.empty((steps + 1, n_unknowns))
+    data = np.empty((steps + 1, system.size))
     data[0] = x
 
     _log.debug("transient %r: %d steps of %gs (%s)",
@@ -168,8 +159,7 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
     else:
         iter_series = dt_series = None
     with obs.span("spice.transient", circuit=circuit.name, steps=steps,
-                  integrator=integrator,
-                  backend=plan.backend if plan is not None else "dense"):
+                  integrator=integrator, backend=plan.backend):
         for step in range(1, steps + 1):
             # Cooperative deadline check: a supervised sample whose
             # transient runs past its budget raises DeadlineExceeded
@@ -184,20 +174,16 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
             step_integrator = "be" if (integrator == "trap" and step == 1) \
                 else integrator
             meter = _NewtonMeter()
-            x = _solve_step_with_recovery(
-                system, circuit, x_prev, t - dt, dt, step_integrator,
-                cap_state, capacitors, recovery, plan=plan, meter=meter)
+            x, cap_state = _solve_step_with_recovery(
+                plan, x_prev, t - dt, dt, step_integrator, cap_state,
+                recovery, meter)
             obs.metrics().histogram("spice.newton.iterations",
                                     _NEWTON_BUCKETS).observe(meter.iterations)
             if iter_series is not None:
                 iter_series.sample(t, meter.iterations)
                 dt_series.sample(t, dt / meter.substeps)
             if integrator == "trap" and step == 1:
-                ctx = StampContext(system=system, x=x, x_prev=x_prev, dt=dt,
-                                   time=t, integrator="be",
-                                   cap_state=cap_state)
-                for cap in capacitors:
-                    cap_state[cap.name] = cap.branch_current(ctx, x)
+                cap_state = plan.capacitor_currents(x, x_prev, dt, "be")
             data[step] = x
         obs.metrics().counter("spice.timesteps").inc(steps)
 
@@ -258,49 +244,39 @@ def _validate_time_grid(t_stop: float, dt: float) -> None:
             "contain a single time step")
 
 
-def _solve_step_with_recovery(system: MnaSystem, circuit: Circuit,
-                              x_start: np.ndarray, t_start: float,
-                              dt: float, integrator: str,
-                              cap_state: Dict[str, float],
-                              capacitors: list,
-                              config: RecoveryConfig = DEFAULT_RECOVERY,
-                              plan: "StampPlan | None" = None,
-                              meter: "_NewtonMeter | None" = None
-                              ) -> np.ndarray:
+def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
+                              t_start: float, dt: float, integrator: str,
+                              cap_state: Optional[np.ndarray],
+                              config: RecoveryConfig,
+                              meter: _NewtonMeter
+                              ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Advance one output step, escalating through the recovery ladder.
 
     Rung order is fixed (see :mod:`repro.spice.recovery`): plain Newton,
     stronger damping, local time-step halving, gmin stepping, source
-    stepping.  The trapezoidal capacitor history is committed per
-    successful substep (and restored before a retry), so every rung
-    stays consistent for both integration methods.
+    stepping.  Returns the solution and the trapezoidal history after
+    it.  Each damping or substep attempt starts from ``cap_state`` and
+    advances its own copy per successful substep; the gmin and source
+    stages solve the full step on the history the last attempt left.
     """
+    circuit = plan.system.circuit
     report = RecoveryReport(circuit=circuit.name, time=t_start + dt)
-    saved_state = dict(cap_state)
-
-    def restore_state() -> None:
-        cap_state.clear()
-        cap_state.update(saved_state)
+    state = cap_state
 
     def run_substeps(substeps: int, **solve_kwargs) -> np.ndarray:
-        if meter is not None:
-            meter.substeps = substeps
+        nonlocal state
+        meter.substeps = substeps
+        state = cap_state
         x = x_start
         sub_dt = dt / substeps
         for sub in range(1, substeps + 1):
             t_sub = t_start + sub * sub_dt
-            x_new = _solve_point(system, circuit, x, t_sub, sub_dt,
-                                 integrator, cap_state,
-                                 max_newton=config.max_newton,
-                                 plan=plan, meter=meter,
+            x_new = _solve_point(plan, x, t_sub, sub_dt, integrator, state,
+                                 max_newton=config.max_newton, meter=meter,
                                  **solve_kwargs)
             if integrator == "trap":
-                ctx = StampContext(
-                    system=system, x=x_new, x_prev=x, dt=sub_dt,
-                    time=t_sub, integrator=integrator,
-                    cap_state=cap_state)
-                for cap in capacitors:
-                    cap_state[cap.name] = cap.branch_current(ctx, x_new)
+                state = plan.capacitor_currents(x_new, x, sub_dt,
+                                                integrator, state)
             x = x_new
         return x
 
@@ -312,7 +288,6 @@ def _solve_step_with_recovery(system: MnaSystem, circuit: Circuit,
         # Each ladder rung is a fresh chance to notice an expired
         # per-sample deadline before burning more Newton iterations.
         _supervision_tick()
-        restore_state()
         try:
             x = run_substeps(substeps, **solve_kwargs)
         except ConvergenceError as exc:
@@ -322,10 +297,28 @@ def _solve_step_with_recovery(system: MnaSystem, circuit: Circuit,
         report.record(rung, detail, converged=True)
         return x
 
+    def walk(rung: str, keyword: str, stages) -> "np.ndarray | None":
+        """Walk one stepping ladder over the full step; None as soon as
+        a stage fails.  Each ``(value, detail)`` stage solves with
+        ``keyword=value``, warm-started from the previous stage."""
+        meter.substeps = 1  # ladder stages solve the full step
+        x = x_start
+        for value, detail in stages:
+            try:
+                x = _solve_point(plan, x, t_start + dt, dt, integrator,
+                                 state, max_newton=config.max_newton,
+                                 x_history=x_start, meter=meter,
+                                 **{keyword: value})
+            except ConvergenceError:
+                report.record(rung, detail, converged=False)
+                return None
+            report.record(rung, detail, converged=True)
+        return x
+
     # Rung 0: plain Newton over the full step.
     x = attempt("newton", "plain")
     if x is not None:
-        return x
+        return x, state
 
     # Rung 1: much stronger damping from the first iteration.
     if config.enable_damping:
@@ -334,7 +327,7 @@ def _solve_step_with_recovery(system: MnaSystem, circuit: Circuit,
                         initial_damping=factor)
             if x is not None:
                 note_recovery_success(report)
-                return x
+                return x, state
 
     # Rung 2: local time-step halving with bounded retries.  Stiff
     # regeneration regions (latch sense amplifiers firing) recover here
@@ -346,30 +339,28 @@ def _solve_step_with_recovery(system: MnaSystem, circuit: Circuit,
                         substeps=2 ** halving)
             if x is not None:
                 note_recovery_success(report)
-                return x
+                return x, state
         obs.metrics().counter("spice.refinement_exhausted").inc()
 
     # Rung 3: gmin stepping — a strong leak to ground everywhere makes
     # the system benign; relax it decade by decade with warm starts.
     if config.enable_gmin:
-        x = _gmin_stepping(system, circuit, x_start, t_start, dt,
-                           integrator, cap_state, config, report,
-                           plan=plan, meter=meter)
+        x = walk("gmin", "extra_gmin",
+                 [(gmin, f"gmin={gmin:g}") for gmin in config.gmin_ladder])
         if x is not None:
             note_recovery_success(report)
-            return x
+            return x, state
 
     # Rung 4: source stepping — ramp all independent sources from a
     # solvable fraction up to 100 %, warm-starting each stage.
     if config.enable_source:
-        x = _source_stepping(system, circuit, x_start, t_start, dt,
-                             integrator, cap_state, config, report,
-                             plan=plan, meter=meter)
+        x = walk("source", "source_scale",
+                 [(alpha, f"sources={100 * alpha:g}%")
+                  for alpha in config.source_ladder])
         if x is not None:
             note_recovery_success(report)
-            return x
+            return x, state
 
-    restore_state()
     obs.metrics().counter("spice.recovery.exhausted").inc()
     obs.event("spice.recovery.exhausted", circuit=circuit.name,
               time=t_start + dt, attempts=len(report.attempts))
@@ -388,67 +379,13 @@ def _solve_step_with_recovery(system: MnaSystem, circuit: Circuit,
     )
 
 
-def _gmin_stepping(system: MnaSystem, circuit: Circuit, x_start: np.ndarray,
-                   t_start: float, dt: float, integrator: str,
-                   cap_state: Dict[str, float], config: RecoveryConfig,
-                   report: RecoveryReport,
-                   plan: "StampPlan | None" = None,
-                   meter: "_NewtonMeter | None" = None
-                   ) -> "np.ndarray | None":
-    """Walk the gmin ladder for one full step; None if any stage fails."""
-    if meter is not None:
-        meter.substeps = 1  # gmin stages solve the full step
-    x = x_start
-    for gmin in config.gmin_ladder:
-        try:
-            x = _solve_point(system, circuit, x, t_start + dt, dt,
-                             integrator, cap_state,
-                             max_newton=config.max_newton,
-                             extra_gmin=gmin, x_history=x_start,
-                             plan=plan, meter=meter)
-        except ConvergenceError:
-            report.record("gmin", f"gmin={gmin:g}", converged=False)
-            return None
-        report.record("gmin", f"gmin={gmin:g}", converged=True)
-    return x
-
-
-def _source_stepping(system: MnaSystem, circuit: Circuit,
-                     x_start: np.ndarray, t_start: float, dt: float,
-                     integrator: str, cap_state: Dict[str, float],
-                     config: RecoveryConfig,
-                     report: RecoveryReport,
-                     plan: "StampPlan | None" = None,
-                     meter: "_NewtonMeter | None" = None
-                     ) -> "np.ndarray | None":
-    """Walk the source ladder for one full step; None if a stage fails."""
-    if meter is not None:
-        meter.substeps = 1  # source stages solve the full step
-    x = x_start
-    for alpha in config.source_ladder:
-        try:
-            x = _solve_point(system, circuit, x, t_start + dt, dt,
-                             integrator, cap_state,
-                             max_newton=config.max_newton,
-                             source_scale=alpha, x_history=x_start,
-                             plan=plan, meter=meter)
-        except ConvergenceError:
-            report.record("source", f"sources={100 * alpha:g}%",
-                          converged=False)
-            return None
-        report.record("source", f"sources={100 * alpha:g}%", converged=True)
-    return x
-
-
-def _solve_point(system: MnaSystem, circuit: Circuit, x_prev: np.ndarray,
-                 t: float, dt: float, integrator: str,
-                 cap_state: Dict[str, float], *,
+def _solve_point(plan: StampPlan, x_prev: np.ndarray, t: float, dt: float,
+                 integrator: str, cap_state: Optional[np.ndarray], *,
                  max_newton: "int | None" = None,
                  initial_damping: float = 1.0,
                  extra_gmin: float = 0.0,
                  source_scale: float = 1.0,
                  x_history: "np.ndarray | None" = None,
-                 plan: "StampPlan | None" = None,
                  meter: "_NewtonMeter | None" = None) -> np.ndarray:
     """Damped Newton solve of one time point.
 
@@ -458,10 +395,8 @@ def _solve_point(system: MnaSystem, circuit: Circuit, x_prev: np.ndarray,
     rung warm-starts from an intermediate ladder stage).  ``extra_gmin``
     and ``source_scale`` implement the gmin- and source-stepping rungs;
     ``initial_damping`` starts the oscillation guard already damped.
-    With a ``plan`` the iterates run on the compiled fast path; without
-    one each iterate re-stamps every element (the bit-identical legacy
-    reference).
     """
+    system = plan.system
     x = x_prev.copy()
     if x_history is None:
         x_history = x_prev
@@ -472,30 +407,12 @@ def _solve_point(system: MnaSystem, circuit: Circuit, x_prev: np.ndarray,
     damping_events = 0
     v_delta = None
     budget = _MAX_NEWTON if max_newton is None else max_newton
-    if plan is not None:
-        point = plan.begin_point(
-            t=t, dt=dt, integrator=integrator, cap_state=cap_state,
-            x_history=x_history, gmin=1e-12, extra_gmin=extra_gmin,
-            source_scale=source_scale)
-        order = None
-    else:
-        point = None
-        order = stamping_order(circuit)
+    point = plan.begin_point(
+        t=t, dt=dt, integrator=integrator, cap_state=cap_state,
+        x_history=x_history, gmin=1e-12, extra_gmin=extra_gmin,
+        source_scale=source_scale)
     for iteration in range(1, budget + 1):
-        if plan is not None:
-            x_new = plan.solve_iterate(point, x)
-        else:
-            system.reset()
-            ctx = StampContext(system=system, x=x, x_prev=x_history, dt=dt,
-                               time=t, integrator=integrator,
-                               cap_state=cap_state, gmin=1e-12,
-                               source_scale=source_scale)
-            for element in order:  # noqa: L107 - the legacy reference path
-                element.stamp(ctx)
-            if extra_gmin > 0.0:
-                for idx in range(n_nodes):
-                    system.matrix[idx, idx] += extra_gmin
-            x_new = system.solve()
+        x_new = plan.solve_iterate(point, x)
         delta = x_new - x
         v_delta = delta[:n_nodes]
         max_step = float(np.abs(v_delta).max()) if n_nodes else 0.0
@@ -518,17 +435,19 @@ def _solve_point(system: MnaSystem, circuit: Circuit, x_prev: np.ndarray,
             if damping_events:
                 obs.metrics().counter(
                     "spice.damping_events").inc(damping_events)
-                obs.event("spice.newton.damped", circuit=circuit.name,
+                obs.event("spice.newton.damped",
+                          circuit=system.circuit.name,
                           time=t, events=damping_events)
             return x
     if meter is not None:
         meter.add(budget)
     obs.metrics().counter("spice.convergence_failures").inc()
     worst_node = _worst_residual_node(system, v_delta)
+    name = system.circuit.name
     _log.debug("transient Newton failed at t=%gs for circuit %r "
-               "(worst residual at node %r)", t, circuit.name, worst_node)
+               "(worst residual at node %r)", t, name, worst_node)
     raise ConvergenceError(
-        f"transient Newton failed for circuit {circuit.name!r}",
+        f"transient Newton failed for circuit {name!r}",
         time=t, iterations=budget, worst_node=worst_node,
     )
 

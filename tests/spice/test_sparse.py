@@ -225,13 +225,6 @@ class TestBackendSelection:
         assert counters["spice.sparse.auto.dense"] == 1
         assert counters["spice.sparse.auto.sparse"] == 1
 
-    def test_sparse_requires_stamp_plan(self):
-        circuit, initial = localblock_circuit()
-        with pytest.raises(ConfigurationError):
-            simulate_transient(circuit, t_stop=1 * ps, dt=1 * ps,
-                               initial_voltages=initial,
-                               stamp_plan=False, backend="sparse")
-
     def test_transient_span_carries_backend_tag(self):
         from repro.obs.tracing import Tracer
 

@@ -1,13 +1,16 @@
-"""Equivalence proof for the compiled stamp-plan fast path.
+"""Equivalence proof for the compiled stamp plan.
 
-The contract is *bit-identity*: the compiled plan and the legacy
-per-element stamping loop must produce exactly equal solution matrices
-(``np.array_equal``, not ``allclose``) on every circuit, including when
-the recovery ladder escalates (gmin stepping, substep halving) and on
-fault-injected refresh scenarios.  Any drift here means the fast path
-changed numerical behaviour, which the benchmark speedup must never
-buy.
+The contract is *bit-identity*: the compiled plan and the per-element
+stamping oracle (``tests/spice/oracle.py``), each driven through the
+same transient and DC loops, must produce exactly equal solution
+matrices (``.data`` bytes, not ``allclose``) on every circuit,
+including when the recovery ladder escalates (gmin stepping, substep
+halving, source stepping) and on fault-injected refresh scenarios.
+Any drift here means the compiled assembly changed numerical
+behaviour, which its speed must never buy.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from repro.spice import (
     MosfetElement,
     Resistor,
     StampPlan,
+    Switch,
     VoltageSource,
     dc,
     eval_model_batch,
@@ -32,12 +36,13 @@ from repro.spice import (
     solve_dc,
     stamping_order,
 )
-from repro.spice.mna import MnaSystem, StampContext
-from repro.spice.recovery import RecoveryConfig
+from repro.spice.mna import MnaSystem
+from repro.spice.recovery import RUNGS, RecoveryConfig
 from repro.tech.node import Polarity
 from repro.units import ns, ps
 from repro.variability.montecarlo import run_monte_carlo_resumable
 
+from tests.spice.oracle import OraclePlan, oracle_plans
 from tests.spice.test_recovery import GMIN_LADDER, stiff_diode_circuit
 
 _T_STOP = 1.0 * ns  # past SA enable (0.7 ns) and buffer enable (0.9 ns)
@@ -55,26 +60,33 @@ def localblock_circuit(stored_value=0, refresh_only=False):
     return circuit, initial
 
 
+def on_plan_and_oracle(solve, *args, **kwargs):
+    """``solve(*args, **kwargs)`` on the plan, then on the oracle."""
+    fast = solve(*args, **kwargs)
+    with oracle_plans():
+        oracle = solve(*args, **kwargs)
+    return fast, oracle
+
+
 def both_paths(circuit, initial, **kwargs):
-    fast = simulate_transient(circuit, t_stop=_T_STOP, dt=_DT,
-                              initial_voltages=initial, stamp_plan=True,
-                              **kwargs)
-    legacy = simulate_transient(circuit, t_stop=_T_STOP, dt=_DT,
-                                initial_voltages=initial, stamp_plan=False,
-                                **kwargs)
-    return fast, legacy
+    return on_plan_and_oracle(simulate_transient, circuit, t_stop=_T_STOP,
+                              dt=_DT, initial_voltages=initial, **kwargs)
+
+
+def same_bits(a, b):
+    return a.data.tobytes() == b.data.tobytes()
 
 
 class TestTransientBitIdentity:
     def test_localblock_read_is_bit_identical(self):
-        fast, legacy = both_paths(*localblock_circuit(stored_value=0))
-        assert np.array_equal(fast.data, legacy.data)
-        assert np.array_equal(fast.time, legacy.time)
-        assert fast.node_index == legacy.node_index
+        fast, oracle = both_paths(*localblock_circuit(stored_value=0))
+        assert same_bits(fast, oracle)
+        assert np.array_equal(fast.time, oracle.time)
+        assert fast.node_index == oracle.node_index
 
     def test_localblock_read_of_one_is_bit_identical(self):
-        fast, legacy = both_paths(*localblock_circuit(stored_value=1))
-        assert np.array_equal(fast.data, legacy.data)
+        fast, oracle = both_paths(*localblock_circuit(stored_value=1))
+        assert same_bits(fast, oracle)
 
     def test_fault_injected_refresh_is_bit_identical(self):
         """Localised refresh (GBL floating) of a weak cell: the stored
@@ -83,8 +95,8 @@ class TestTransientBitIdentity:
         circuit, initial = localblock_circuit(stored_value=1,
                                               refresh_only=True)
         initial = dict(initial, cell=0.45)  # decayed weak-cell level
-        fast, legacy = both_paths(circuit, initial)
-        assert np.array_equal(fast.data, legacy.data)
+        fast, oracle = both_paths(circuit, initial)
+        assert same_bits(fast, oracle)
 
     def test_stiff_diode_under_gmin_ladder_is_bit_identical(self):
         """The recovery ladder escalates to gmin stepping — the exact
@@ -92,48 +104,71 @@ class TestTransientBitIdentity:
         recovery = RecoveryConfig(max_newton=25, enable_damping=False,
                                   enable_substep=False, enable_source=False,
                                   gmin_ladder=GMIN_LADDER)
-        circuit = stiff_diode_circuit()
-        fast = simulate_transient(circuit, t_stop=1e-9, dt=1e-10,
-                                  initial_voltages={"in": 5.0},
-                                  recovery=recovery, stamp_plan=True)
-        legacy = simulate_transient(circuit, t_stop=1e-9, dt=1e-10,
-                                    initial_voltages={"in": 5.0},
-                                    recovery=recovery, stamp_plan=False)
-        assert np.array_equal(fast.data, legacy.data)
+        fast, oracle = on_plan_and_oracle(
+            simulate_transient, stiff_diode_circuit(), t_stop=1e-9,
+            dt=1e-10, initial_voltages={"in": 5.0}, recovery=recovery)
+        assert same_bits(fast, oracle)
 
     def test_substep_halving_walks_identically(self):
         """Substep halving changes dt (and so the linear base); with
-        gmin and source disabled the ladder is exhausted — both paths
-        must fail on the same rung with the same transcript."""
+        gmin and source disabled the ladder is exhausted — plan and
+        oracle must fail on the same rung with the same transcript."""
         recovery = RecoveryConfig(max_newton=25, enable_gmin=False,
                                   enable_source=False)
         circuit = stiff_diode_circuit()
-        transcripts = []
-        for stamp_plan in (True, False):
+
+        def transcript():
             with pytest.raises(ConvergenceError) as excinfo:
                 simulate_transient(circuit, t_stop=1e-9, dt=1e-10,
                                    initial_voltages={"in": 5.0},
-                                   recovery=recovery, stamp_plan=stamp_plan)
-            transcripts.append([(a.rung, a.detail, a.converged)
-                                for a in excinfo.value.recovery.attempts])
-        assert transcripts[0] == transcripts[1]
+                                   recovery=recovery)
+            return [(a.rung, a.detail, a.converged)
+                    for a in excinfo.value.recovery.attempts]
+
+        fast, oracle = on_plan_and_oracle(transcript)
+        assert fast == oracle
+        assert fast[-1][0] == "substep"
+
+    @pytest.mark.parametrize("integrator", ["be", "trap"])
+    def test_every_ladder_rung_is_bit_identical(self, monkeypatch,
+                                                integrator):
+        """A starved Newton budget on a hard diode walks damping,
+        substeps and gmin stepping before source stepping converges."""
+        from repro.spice import transient
+
+        walks = []
+        monkeypatch.setattr(transient, "note_recovery_success",
+                            lambda report: walks.append(report.rungs_tried()))
+        circuit = Circuit("rc-diode")
+        circuit.add(VoltageSource("v1", "in", "0", dc(5.0)))
+        circuit.add(Resistor("r1", "in", "d", 100.0))
+        circuit.add(Diode("d1", "d", "0"))
+        circuit.add(Capacitor("cd", "d", "0", 1e-12))
+        fast, oracle = on_plan_and_oracle(
+            simulate_transient, circuit, t_stop=5e-10, dt=1e-10,
+            integrator=integrator, recovery=RecoveryConfig(max_newton=8))
+        assert RUNGS in walks
+        assert walks[:len(walks) // 2] == walks[len(walks) // 2:]
+        assert same_bits(fast, oracle)
 
     def test_trapezoidal_integrator_is_bit_identical(self):
-        circuit = stiff_diode_circuit(v_t=0.05)
-        fast = simulate_transient(circuit, t_stop=1e-9, dt=1e-11,
-                                  initial_voltages={"in": 5.0},
-                                  integrator="trap", stamp_plan=True)
-        legacy = simulate_transient(circuit, t_stop=1e-9, dt=1e-11,
-                                    initial_voltages={"in": 5.0},
-                                    integrator="trap", stamp_plan=False)
-        assert np.array_equal(fast.data, legacy.data)
+        fast, oracle = on_plan_and_oracle(
+            simulate_transient, stiff_diode_circuit(v_t=0.05), t_stop=1e-9,
+            dt=1e-11, initial_voltages={"in": 5.0}, integrator="trap")
+        assert same_bits(fast, oracle)
+
+    def test_trapezoidal_localblock_is_bit_identical(self):
+        """Trapezoidal history over a circuit with many capacitors,
+        some of them grounded on either terminal."""
+        fast, oracle = both_paths(*localblock_circuit(), integrator="trap")
+        assert same_bits(fast, oracle)
 
 
 class TestDcEquivalence:
     def test_localblock_dc_is_identical(self):
         circuit, _initial = localblock_circuit()
-        assert (solve_dc(circuit, stamp_plan=True)
-                == solve_dc(circuit, stamp_plan=False))
+        fast, oracle = on_plan_and_oracle(solve_dc, circuit)
+        assert fast == oracle
 
     def test_starved_newton_dc_recovers_identically(self):
         """A 15-iteration Newton budget escalates the DC ladder to
@@ -141,51 +176,101 @@ class TestDcEquivalence:
         recovery = RecoveryConfig(max_newton=15, gmin_ladder=GMIN_LADDER)
         circuit = stiff_diode_circuit(v_t=0.02)
         with obs.instrumented() as registry:
-            fast = solve_dc(circuit, recovery=recovery, stamp_plan=True)
+            fast = solve_dc(circuit, recovery=recovery)
             counters = registry.snapshot()["counters"]
         assert counters["spice.recovery.source"] == 1  # the ladder ran
-        assert fast == solve_dc(circuit, recovery=recovery,
-                                stamp_plan=False)
+        with oracle_plans():
+            assert fast == solve_dc(circuit, recovery=recovery)
 
 
-def single_device_circuit(element):
-    """``element``'s device alone, each terminal driven by a source."""
+def driven_circuit(element):
+    """``element`` alone, each of its terminals driven by a source."""
     circuit = Circuit(f"single-{element.name}")
-    for node in ("d", "g", "s"):
+    for node in element.terminals():
         circuit.add(VoltageSource(f"v_{node}", node, "0", dc(0.0)))
-    circuit.add(MosfetElement(element.name, "d", "g", "s", element.device))
+    circuit.add(element)
     return circuit
+
+
+def assert_assembly_matches_oracle(element, levels):
+    """The plan's assembled matrix and RHS equal the oracle's
+    per-element stamps byte for byte at every combination of terminal
+    voltages drawn from ``levels`` (one sequence per terminal)."""
+    system = MnaSystem(driven_circuit(element))
+    plan, oracle = StampPlan(system), OraclePlan(system)
+    point, oracle_point = plan.begin_point(t=0.0), oracle.begin_point(t=0.0)
+    nodes = [system.index(node) for node in element.terminals()]
+    for voltages in itertools.product(*levels):
+        x = np.zeros(system.size)
+        x[nodes] = voltages
+        values, rhs = plan._assemble(point, x)
+        stamped = oracle.assemble(oracle_point, x)
+        assert values.tobytes() == stamped.matrix.tobytes()
+        assert rhs.tobytes() == stamped.rhs.tobytes()
+
+
+_GRID = np.linspace(-0.2, 1.4, 9)
 
 
 class TestCompiledDevices:
     @pytest.mark.parametrize("name, polarity", [
         ("m_sa_n1", Polarity.NMOS), ("m_sa_p1", Polarity.PMOS)])
     def test_assembly_matches_element_stamp(self, name, polarity):
-        """The plan's assembled matrix and RHS equal the element's own
-        ``stamp()`` byte for byte over the terminal grid, reverse
-        conduction (drain below source) included."""
+        """Over the terminal grid, reverse conduction (drain below
+        source) included."""
         source, _initial = localblock_circuit()
         element = next(el for el in source.elements if el.name == name)
         assert element.device.polarity is polarity
-        circuit = single_device_circuit(element)
+        device = MosfetElement(name, "d", "g", "s", element.device)
+        assert_assembly_matches_oracle(device, (_GRID, _GRID, (0.0, 0.3, 1.2)))
+
+    def test_diode_assembly_matches_element_stamp(self):
+        """Both terminals off ground, forward bias past the clamp."""
+        diode = Diode("d1", "a", "c", v_t=0.026, v_clip=0.8)
+        assert_assembly_matches_oracle(diode, (_GRID, _GRID))
+
+    def test_switch_assembly_matches_element_stamp(self):
+        """Control voltages through both logistic clamps."""
+        switch = Switch("s1", "a", "b", "p", "n")
+        assert_assembly_matches_oracle(
+            switch, ((0.0, 0.7), (0.0, 0.7), _GRID, _GRID))
+
+
+class TestCapacitorHistory:
+    @pytest.mark.parametrize("integrator", ["be", "trap"])
+    def test_currents_match_oracle(self, integrator):
+        """One vectorised call equals the per-capacitor branch currents
+        of the oracle, bit for bit, with ground on either terminal."""
+        circuit = Circuit("c-bridge")
+        circuit.add(VoltageSource("v1", "a", "0", dc(1.0)))
+        circuit.add(Resistor("r1", "a", "b", 1e3))
+        circuit.add(Resistor("r2", "b", "0", 1e3))
+        for name, node_a, node_b, farads in (("c1", "a", "0", 1e-15),
+                                             ("c2", "0", "b", 2e-15),
+                                             ("c3", "a", "b", 3e-15)):
+            circuit.add(Capacitor(name, node_a, node_b, farads))
         system = MnaSystem(circuit)
-        plan = StampPlan(MnaSystem(circuit))
-        point = plan.begin_point(t=0.0)
-        order = stamping_order(circuit)
-        d, g, s = (system.index(node) for node in ("d", "g", "s"))
-        grid = np.linspace(-0.2, 1.4, 9)
-        for v_d in grid:
-            for v_g in grid:
-                for v_s in (0.0, 0.3, 1.2):
-                    x = np.zeros(system.size)
-                    x[d], x[g], x[s] = v_d, v_g, v_s
-                    values, rhs = plan._assemble(point, x)
-                    system.reset()
-                    ctx = StampContext(system=system, x=x, time=0.0)
-                    for el in order:
-                        el.stamp(ctx)
-                    assert values.tobytes() == system.matrix.tobytes()
-                    assert rhs.tobytes() == system.rhs.tobytes()
+        plan, oracle = StampPlan(system), OraclePlan(system)
+        rng = np.random.default_rng(5)
+        x_prev, x_new = rng.uniform(-0.2, 1.4, (2, system.size))
+        state = rng.normal(0.0, 1e-4, len(oracle.capacitors))
+        fast = plan.capacitor_currents(x_new, x_prev, 1 * ps, integrator,
+                                       state)
+        reference = oracle.capacitor_currents(x_new, x_prev, 1 * ps,
+                                              integrator, state)
+        assert fast.tobytes() == reference.tobytes()
+
+    def test_only_trapezoidal_runs_carry_history(self, monkeypatch):
+        """Backward Euler never computes capacitor currents; a
+        trapezoidal run computes them once per accepted step."""
+        calls = count_calls(monkeypatch, StampPlan, "capacitor_currents")
+        circuit, initial = localblock_circuit()
+        simulate_transient(circuit, t_stop=20 * ps, dt=_DT,
+                           initial_voltages=initial)
+        assert calls[0] == 0
+        simulate_transient(circuit, t_stop=20 * ps, dt=_DT,
+                           initial_voltages=initial, integrator="trap")
+        assert calls[0] == 20
 
 
 class _PythonDiode(Diode):
@@ -219,16 +304,16 @@ class _PythonDiodeModel(BatchTransientModel):
 
 class TestUnknownElementTypes:
     def test_plan_rejects_unknown_type(self):
-        with pytest.raises(ConfigurationError,
-                           match=r"_PythonDiode .*stamp_plan=False"):
+        with pytest.raises(ConfigurationError) as excinfo:
             simulate_transient(divider(_PythonDiode), t_stop=1e-9,
                                dt=1e-11)
-
-    def test_legacy_loop_matches_plan_on_builtin_twin(self):
-        legacy = simulate_transient(divider(_PythonDiode), t_stop=1e-9,
-                                    dt=1e-11, stamp_plan=False)
-        plan = simulate_transient(divider(Diode), t_stop=1e-9, dt=1e-11)
-        assert np.array_equal(legacy.data, plan.data)
+        message = str(excinfo.value)
+        assert "_PythonDiode 'd1' is not a supported element type" in message
+        for supported in ("Resistor", "Capacitor", "VoltageSource",
+                          "CurrentSource", "Diode", "Switch",
+                          "MosfetElement"):
+            assert supported in message
+        assert "stamp_plan" not in message
 
     def test_batched_stack_fails_each_sample(self):
         """Each sample fails with the plan's error on its own, at batch
@@ -278,12 +363,28 @@ class TestOneFactorizationPerIterate:
         assert factors[0] == iterates[0] >= 50
 
 
+class TestOracleSwap:
+    def test_oracle_replaces_the_plan_in_both_solvers(self, monkeypatch):
+        """Inside ``oracle_plans`` every iterate of the transient and
+        the DC loop runs on the oracle, none on the compiled plan."""
+        plan_calls = count_calls(monkeypatch, StampPlan, "solve_iterate")
+        oracle_calls = count_calls(monkeypatch, OraclePlan, "solve_iterate")
+        circuit = stiff_diode_circuit(v_t=0.05)
+        with oracle_plans():
+            simulate_transient(circuit, t_stop=1e-10, dt=1e-11,
+                               initial_voltages={"in": 5.0})
+            after_transient = oracle_calls[0]
+            solve_dc(circuit)
+        assert 0 < after_transient < oracle_calls[0]
+        assert plan_calls[0] == 0
+
+
 class TestNewtonTelemetry:
     def test_newton_iteration_histogram_is_emitted(self):
         circuit, initial = localblock_circuit()
         with obs.instrumented() as registry:
             simulate_transient(circuit, t_stop=0.05 * ns, dt=_DT,
-                               initial_voltages=initial, stamp_plan=True)
+                               initial_voltages=initial)
             snapshot = registry.snapshot()
         histogram = snapshot["histograms"]["spice.newton.iterations"]
         assert histogram["count"] == 50  # one observation per timestep
@@ -293,7 +394,7 @@ class TestStampingOrder:
     def test_order_groups_linear_elements_then_the_rest(self):
         """Linear elements come grouped by type (circuit order within a
         group), nonlinear elements trail in circuit order — the
-        documented canonical order both solver paths share."""
+        documented canonical order the plan and the oracle share."""
         circuit, _initial = localblock_circuit()
         order = stamping_order(circuit)
         assert sorted(el.name for el in order) == sorted(
@@ -326,5 +427,5 @@ class TestPropertyEquivalence:
         circuit.add(VoltageSource("v1", "in", "0", dc(supply)))
         circuit.add(Resistor("r1", "in", "d", resistance))
         circuit.add(Diode("d1", "d", "0", v_t=v_t, v_clip=0.8))
-        assert (solve_dc(circuit, stamp_plan=True)
-                == solve_dc(circuit, stamp_plan=False))
+        fast, oracle = on_plan_and_oracle(solve_dc, circuit)
+        assert fast == oracle
