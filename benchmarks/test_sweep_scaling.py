@@ -5,10 +5,17 @@ evaluated at ``jobs`` = 1, 2 and 4.  Two properties are checked:
 
 * **determinism** — the sample vector is bit-identical at every job
   count (always asserted; this is the executor's core contract);
-* **scaling** — ``jobs=4`` must beat serial by >= 1.8x wall-clock,
-  asserted only when the machine actually has >= 4 CPUs (the CI
-  perf-smoke runners do; a 1-CPU container records the numbers without
-  failing on physics it cannot express).
+* **scaling** — ``jobs=2`` must beat serial by >= 1.1x wall-clock when
+  the machine has >= 2 CPUs, and ``jobs=4`` by >= 1.8x when it has
+  >= 4 (the CI perf-smoke runners do); a machine with too few CPUs
+  records the numbers without failing on physics it cannot express.
+
+The jobs=2 floor is set from 16 runs of this benchmark on a shared
+2-CPU host, where jobs=2 ran 1.16x-2.30x faster than serial (median
+1.86x); ten alternating warm serial/jobs=2 pairs there read 0.94x-1.65x
+(median 1.14x), because the host's speed drifts by up to 2x between
+legs.  The floor catches an executor that stops overlapping work, not
+a few percent of lost scaling.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from benchmarks._util import check_regression, record_json, record_result
 
 SAMPLES = 64
 SEED = 2009
+MIN_SPEEDUP_J2 = 1.1
 MIN_SPEEDUP_J4 = 1.8
 JOB_COUNTS = (1, 2, 4)
 
@@ -73,21 +81,24 @@ def test_parallel_sweep_scaling_and_determinism():
         f"{SAMPLES}-sample Monte-Carlo, {cpu_count} CPU(s):",
         *(f"  jobs={j}: {wall[j] * 1e3:8.1f} ms  "
           f"({speedups[j]:5.2f}x vs serial)" for j in JOB_COUNTS),
-        f"  jobs=4 floor: {MIN_SPEEDUP_J4}x "
-        + ("(asserted)" if cpu_count >= 4
-           else f"(not asserted: only {cpu_count} CPU(s))"),
+        *(f"  jobs={jobs} floor: {floor}x "
+          + ("(asserted)" if cpu_count >= jobs
+             else f"(not asserted: only {cpu_count} CPU(s))")
+          for jobs, floor in ((2, MIN_SPEEDUP_J2), (4, MIN_SPEEDUP_J4))),
     ]))
 
-    if cpu_count >= 4:
-        assert speedups[4] >= MIN_SPEEDUP_J4, (
-            f"jobs=4 speedup {speedups[4]:.2f}x fell below the "
-            f"{MIN_SPEEDUP_J4}x floor on a {cpu_count}-CPU machine")
-        check_regression("BENCH_sweep", metrics)
-    else:
-        # The regression baseline still gates the non-speedup metrics;
-        # the speedup_jobs* floors are skipped with a logged reason
-        # instead of silently dropping the whole check.
-        check_regression(
-            "BENCH_sweep", metrics, skip_prefixes=("speedup_jobs",),
-            skip_reason=f"only {cpu_count} CPU(s); parallel speedup "
-                        "is not expressible on this machine")
+    # Each speedup floor, and its regression baseline, holds only on a
+    # machine with a CPU per job; the rest are skipped with a logged
+    # reason instead of silently dropping the whole check.
+    unexpressible = []
+    for jobs, floor in ((2, MIN_SPEEDUP_J2), (4, MIN_SPEEDUP_J4)):
+        if cpu_count >= jobs:
+            assert speedups[jobs] >= floor, (
+                f"jobs={jobs} speedup {speedups[jobs]:.2f}x fell below "
+                f"the {floor}x floor on a {cpu_count}-CPU machine")
+        else:
+            unexpressible.append(f"speedup_jobs{jobs}")
+    check_regression(
+        "BENCH_sweep", metrics, skip_prefixes=tuple(unexpressible),
+        skip_reason=f"only {cpu_count} CPU(s); parallel speedup "
+                    "is not expressible on this machine")

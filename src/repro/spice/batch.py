@@ -41,7 +41,12 @@ applied to the same operand pairs in the same order as the scalar
 plan, and transcendentals (``exp``, ``10**x``, ``x**a``) are routed
 through the *same libm calls* via per-element loops — numpy's SIMD
 ``np.exp``/``np.power`` differ from libm in the last ulp, so they are
-never used on the value path.  Branches become either ``np.where``
+never used on the value path.  The MOSFET group's ``10**x`` and
+short-channel ``exp`` go through one memo (:func:`_libm_memo`) that
+calls libm only for probe cells whose argument changed since their
+last call; it caches a pure function on its argument's value, so a
+reused result is the bits libm would return.
+Branches become either ``np.where``
 selections (both arms exception-free, NaN following the scalar branch
 form) or mask partitions (``np.nonzero`` gather / compute / scatter)
 where one arm must not be evaluated out of domain.  Stacking the three
@@ -165,6 +170,46 @@ def _libm_pow(bases: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     lst = bases.tolist()
     return np.fromiter(map(math.pow, lst, exponents.tolist()),
                        dtype=float, count=len(lst))
+
+
+def _carve_memo(pool: Dict[str, np.ndarray], name: str, cells: int
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """A ``(keys, values)`` memo over ``cells`` flat probe cells, carved
+    from ``pool`` like any scratch buffer; NaN keys match nothing."""
+    keys = _carve(pool, name + "_x", (cells,))
+    keys.fill(np.nan)
+    return keys, _carve(pool, name + "_y", (cells,))
+
+
+def _libm_memo(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+               memo: Tuple[np.ndarray, np.ndarray],
+               at: Optional[np.ndarray] = None) -> np.ndarray:
+    """``fn(x)`` elementwise, calling ``fn`` only on changed cells.
+
+    ``fn`` is a pure libm routing (``_libm_exp``, ``_libm_pow10``) and
+    ``memo`` holds each cell's last argument and result.  ``x`` covers
+    every cell, or the cells ``at`` names.  A cell whose argument
+    compares equal to its key reuses its stored result; every other
+    cell calls ``fn`` and stores the pair.  That is exact: equal
+    doubles are the same bits except for ±0, which both functions map
+    to 1.0, and NaN compares equal to nothing, so it is always
+    recomputed.  Narrower live widths carve their memo from the front
+    of the same memory, so a cell may hold another width's pair; every
+    pair is still an argument and its own result, so a hit on it is
+    exact too.
+    """
+    keys, values = memo
+    if at is None:
+        fresh = np.not_equal(x, keys).nonzero()[0]
+        cells = fresh
+    else:
+        fresh = np.not_equal(x, keys[at]).nonzero()[0]
+        cells = at[fresh]
+    if fresh.size:
+        changed = x[fresh]
+        values[cells] = fn(changed)
+        keys[cells] = changed
+    return values if at is None else values[at]
 
 
 def _gather_cols(names: Sequence[str], index: Callable[[str], int],
@@ -413,15 +458,11 @@ class _MosfetGroup:
                       ("u", "w", "gg", "t1", "t2", "t3", "t4", "i_sub")})
             s.update({name: _carve(pool, name, d3, bool) for name in
                       ("neg", "cond", "mask")})
-            # The pow10 memo, flat over the probe stack: last exponent
-            # per cell (NaN matches nothing) and its power.  Widths
-            # share the memo's memory, which stays exact because a cell
-            # only ever pairs an exponent with its own power.
-            cells = (3 * e_all * live,)
-            s.update(p10_x=_carve(pool, "p10_x", cells),
-                     p10_p=_carve(pool, "p10_p", cells),
-                     p10_new=_carve(pool, "p10_new", cells, bool))
-            s["p10_x"].fill(np.nan)
+            # The libm memos (see _libm_memo), flat over probe cells:
+            # 10**x on all three probes, the short-channel exp on
+            # probes 0 and 1 (probe 2 replays probe 0's factors).
+            s.update(p10=_carve_memo(pool, "p10", 3 * e_all * live),
+                     exp=_carve_memo(pool, "exp", 2 * e_all * live))
             # This group's block of `vals`, as (gd, gm, residual) rows.
             out = vals[self.lo:self.hi].reshape(d3)
             s.update(vals=vals, gdm=out[:2], gd=out[0], gm=out[1],
@@ -463,18 +504,11 @@ class _MosfetGroup:
         np.subtract(vth, vth_at_ioff, out=tmp)
         exponent = np.subtract(vgs_c, tmp, out=vgs_c)
         np.divide(exponent, swing, out=exponent)
-        # 10**x is a pure function of x, and about a third of the cells
-        # repeat the exponent they had last iterate to the bit (clamped
-        # thresholds, rail-held terminals), so only changed cells call
-        # libm.  NaN never compares equal, so it is always recomputed.
-        ex = exponent.ravel()
-        last_x, last_p = s["p10_x"], s["p10_p"]
-        fresh = np.not_equal(ex, last_x, out=s["p10_new"]).nonzero()[0]
-        if fresh.size:
-            ex_fresh = ex[fresh]
-            last_p[fresh] = _libm_pow10(ex_fresh)
-            last_x[fresh] = ex_fresh
-        i_sub = np.multiply(sub_scale, last_p.reshape(sh),
+        # Both transcendentals go through the memo: cells of idle
+        # devices (rail-held terminals, clamped thresholds) repeat
+        # their arguments from one iterate to the next to the bit.
+        p10 = _libm_memo(_libm_pow10, exponent.ravel(), s["p10"])
+        i_sub = np.multiply(sub_scale, p10.reshape(sh),
                             out=s["i_sub"].reshape(sh))
         # Short-channel flag (vds < five_vt): probe 2 bumps the gate
         # only, so vds[2] is vds[0] bit-for-bit and probe 2's flag set
@@ -490,7 +524,8 @@ class _MosfetGroup:
             # Unflagged cells get a factor of exactly 1.0, an identity.
             fac = vgs_c[:2]
             fac.fill(1.0)
-            fac.ravel()[flag01] = 1.0 - _libm_exp(args)
+            fac.ravel()[flag01] = 1.0 - _libm_memo(_libm_exp, args,
+                                                   s["exp"], at=flag01)
             i_sub[:2] *= fac
             i_sub[2] *= fac[0]
         # Weak-inversion elements carry i_sub through unchanged; the

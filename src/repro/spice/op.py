@@ -90,6 +90,11 @@ def solve_dc(circuit: Circuit, time: float = 0.0,
     ``backend`` selects the stamp plan's linear kernel (``"dense"``,
     ``"sparse"`` or ``"auto"``), exactly as in
     :func:`repro.spice.transient.simulate_transient`.
+
+    ``initial_guess`` only seeds Newton; it does not select a state of
+    a bistable circuit (a latch, an SRAM cell), because the gmin walk
+    starts from a strong leak at every node and erases it: settle such
+    a circuit with a transient instead.
     """
     if recovery is None:
         recovery = DEFAULT_RECOVERY

@@ -257,7 +257,8 @@ def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
     stepping.  Returns the solution and the trapezoidal history after
     it.  Each damping or substep attempt starts from ``cap_state`` and
     advances its own copy per successful substep; the gmin and source
-    stages solve the full step on the history the last attempt left.
+    stages solve the full step on ``cap_state`` too, and a rescued step
+    advances it once, over the whole step.
     """
     circuit = plan.system.circuit
     report = RecoveryReport(circuit=circuit.name, time=t_start + dt)
@@ -301,18 +302,23 @@ def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
         """Walk one stepping ladder over the full step; None as soon as
         a stage fails.  Each ``(value, detail)`` stage solves with
         ``keyword=value``, warm-started from the previous stage."""
+        nonlocal state
         meter.substeps = 1  # ladder stages solve the full step
         x = x_start
         for value, detail in stages:
             try:
                 x = _solve_point(plan, x, t_start + dt, dt, integrator,
-                                 state, max_newton=config.max_newton,
+                                 cap_state, max_newton=config.max_newton,
                                  x_history=x_start, meter=meter,
                                  **{keyword: value})
             except ConvergenceError:
                 report.record(rung, detail, converged=False)
                 return None
             report.record(rung, detail, converged=True)
+        state = cap_state
+        if integrator == "trap":
+            state = plan.capacitor_currents(x, x_start, dt, integrator,
+                                            cap_state)
         return x
 
     # Rung 0: plain Newton over the full step.

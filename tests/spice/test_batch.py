@@ -12,6 +12,8 @@ Sparse-sized stacks hold the same contract against scalar-sparse runs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,10 @@ from repro.spice import (
     simulate_transient,
     simulate_transient_batch,
 )
+from repro.core import FastDramDesign
+from repro.spice import batch as batch_module
+from repro.spice.batch import (_carve_memo, _libm_exp, _libm_memo,
+                               _libm_pow10)
 from repro.spice.mna import MnaSystem
 from repro.spice.recovery import RecoveryConfig
 from repro.spice.sparse import _symbolic_cache
@@ -41,6 +47,7 @@ from repro.spice.stampplan import SPARSE_AUTO_THRESHOLD
 from repro.units import ns
 from repro.variability.globalbitline_mc import GlobalBitlineMcModel
 from repro.variability.localblock_mc import LocalBlockMcModel
+from repro.variability.montecarlo import run_monte_carlo_resumable
 
 T_STOP = 2e-10
 DT = 1e-11
@@ -392,3 +399,118 @@ class TestBatchProperty:
                                            recovery=recovery)
         _assert_outcomes_identical(
             batched, _serial_outcomes(circuits, recovery=recovery))
+
+
+#: Arguments where a memo could go wrong: signed zeros (equal but not
+#: the same bits), NaN (equal to nothing), infinities and subnormals.
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+            1e-310, -1e-310, 1.0, -1.0, 2.5, -37.75, 300.0, -300.5]
+
+#: Each memoised routing and the libm call it must equal.
+_ROUTINGS = [(_libm_exp, math.exp),
+             (_libm_pow10, lambda value: math.pow(10.0, value))]
+
+
+class TestLibmMemo:
+    """``_libm_memo`` returns what a direct libm call returns, to the
+    bit, whatever its memory held before."""
+
+    @staticmethod
+    def counting(fn):
+        counts = []
+
+        def routed(values):
+            counts.append(values.size)
+            return fn(values)
+        return routed, counts
+
+    @staticmethod
+    def assert_direct(got, args, direct):
+        want = np.array([direct(v) for v in args.tolist()])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("routing, direct", _ROUTINGS)
+    def test_repeated_and_changed_arguments(self, routing, direct):
+        rng = np.random.default_rng(5)
+        fn, counts = self.counting(routing)
+        first = np.array(_SPECIAL * 3)
+        memo = _carve_memo({}, "m", first.size)
+        self.assert_direct(_libm_memo(fn, first, memo), first, direct)
+        # Repeats reuse their results; only NaN calls libm again.
+        again = first.copy()
+        self.assert_direct(_libm_memo(fn, again, memo), again, direct)
+        assert counts == [first.size, 3]
+        # Changed cells, signed zeros swapped, a NaN turned finite and a
+        # finite cell turned NaN.
+        changed = rng.permutation(first)
+        self.assert_direct(_libm_memo(fn, changed, memo), changed, direct)
+        # ±0 keys answer each other: both routings map them to 1.0.
+        flipped = -changed
+        self.assert_direct(_libm_memo(fn, flipped, memo), flipped, direct)
+
+    @pytest.mark.parametrize("routing, direct", _ROUTINGS)
+    def test_gathered_cells(self, routing, direct):
+        """``at`` names the cells ``x`` covers; the rest keep their
+        pairs for a later call."""
+        rng = np.random.default_rng(9)
+        fn, counts = self.counting(routing)
+        memo = _carve_memo({}, "m", 40)
+        for _ in range(6):
+            at = np.sort(rng.choice(40, size=int(rng.integers(1, 40)),
+                                    replace=False))
+            args = rng.choice(_SPECIAL, size=at.size)
+            self.assert_direct(_libm_memo(fn, args, memo, at=at), args,
+                               direct)
+        assert sum(counts) < 6 * 40
+
+    @pytest.mark.parametrize("routing, direct", _ROUTINGS)
+    def test_live_width_that_shrinks_reads_aliased_memory(self, routing,
+                                                          direct):
+        """Each live width carves its memo from the front of one pool
+        buffer, as the MOSFET group does, so a narrower width keys on
+        the wider width's arguments and back: hits on foreign pairs
+        stay exact."""
+        rng = np.random.default_rng(11)
+        fn, counts = self.counting(routing)
+        pool: dict = {}
+        cells = {live: 3 * 4 * live for live in (8, 5, 2)}
+        memos = {live: _carve_memo(pool, "m", n)
+                 for live, n in cells.items()}
+        assert np.shares_memory(memos[8][0], memos[2][0])
+        values = np.array(_SPECIAL)
+        for live in (8, 5, 8, 2, 5, 8, 2):
+            args = rng.choice(values, size=cells[live])
+            self.assert_direct(_libm_memo(fn, args, memos[live]), args,
+                               direct)
+        assert sum(counts) < sum(cells[live]
+                                 for live in (8, 5, 8, 2, 5, 8, 2))
+
+
+class TestMemoisedExpCount:
+    """The short-channel ``exp`` memo keeps the global bitline's libm
+    traffic low: idle local blocks repeat their arguments."""
+
+    def test_memo_cuts_exp_calls_and_keeps_bits(self, monkeypatch):
+        model = GlobalBitlineMcModel(FastDramDesign().cell())
+        scalar = run_monte_carlo_resumable(model, count=2, seed=2009,
+                                           batch=1).result.samples
+        counts = []
+        monkeypatch.setattr(batch_module, "_libm_exp", lambda values: (
+            counts.append(values.size) or _libm_exp(values)))
+
+        def batched():
+            counts.clear()
+            with obs.instrumented() as registry:
+                samples = run_monte_carlo_resumable(
+                    model, count=2, seed=2009, batch=2).result.samples
+            assert registry.counter("spice.batch.batches").value == 1
+            assert registry.counter("spice.batch.ejected").value == 0
+            assert samples.tobytes() == scalar.tobytes()
+            return sum(counts)
+
+        memoised = batched()
+        monkeypatch.setattr(batch_module, "_libm_memo",
+                            lambda fn, x, memo, at=None: fn(x))
+        unmemoised = batched()
+        assert unmemoised > 0
+        assert memoised <= 0.25 * unmemoised
