@@ -1,47 +1,16 @@
 #!/usr/bin/env python3
-"""The paper Fig. 2 system: a hybrid 3D-stacked cache running workloads.
+"""The paper Fig. 2 system: a hybrid 3D-stacked cache and its links.
 
-Builds the memory-die cache hierarchy (fast DRAM L1 + dense DRAM L2),
-stacks it over a logic die through TSVs, and drives it with synthetic
-workloads — then swaps the L1 for the SRAM baseline to show the
-system-level trade-off.
+Builds the memory die (fast DRAM L1 + dense DRAM L2) stacked over a
+logic die through TSVs, then prices the TSV interface against an
+off-chip and an on-chip link (EXPERIMENTS.md E11).
 
 Run:  python examples/cache_3d_stack.py
 """
 
-import numpy as np
-
-from repro import FastDramDesign, SramBaselineDesign
-from repro.cache import (
-    Cache,
-    CacheHierarchy,
-    HierarchyLevel,
-    looping_addresses,
-    streaming_addresses,
-    uniform_addresses,
-    zipf_addresses,
-)
 from repro.core import format_table
 from repro.stack3d import compare_links, hybrid_cache_stack
-from repro.units import Mb, kb, ns, pJ
-
-TRACE_LENGTH = 20_000
-FOOTPRINT_WORDS = 1 << 20  # 4 MB of 32-bit words
-
-
-def build_hierarchy(l1_kind: str) -> CacheHierarchy:
-    if l1_kind == "fast-dram":
-        l1_macro = FastDramDesign().build(128 * kb, retention_override=1e-3)
-    else:
-        l1_macro = SramBaselineDesign().build(128 * kb)
-    l2_macro = FastDramDesign(cells_per_lbl=128).build(
-        2 * Mb, retention_override=1e-3)
-    return CacheHierarchy(levels=[
-        HierarchyLevel("L1", Cache(capacity_words=4096, ways=4,
-                                   line_words=8), l1_macro),
-        HierarchyLevel("L2", Cache(capacity_words=65536, ways=8,
-                                   line_words=8), l2_macro),
-    ])
+from repro.units import pJ
 
 
 def main() -> None:
@@ -65,37 +34,6 @@ def main() -> None:
             f"{entry['power_w'] * 1e3:.2f} mW @ 64 Gb/s",
         ])
     print(format_table(["link", "energy/bit", "bandwidth", "power"], rows))
-    print()
-
-    rng = np.random.default_rng(42)
-    workloads = {
-        "zipf": zipf_addresses(TRACE_LENGTH, FOOTPRINT_WORDS, rng),
-        "looping": looping_addresses(TRACE_LENGTH, 3000, rng),
-        "streaming": streaming_addresses(TRACE_LENGTH, FOOTPRINT_WORDS, rng),
-        "uniform": uniform_addresses(TRACE_LENGTH, FOOTPRINT_WORDS, rng),
-    }
-
-    print("=== Hybrid cache vs SRAM-L1 cache across workloads ===")
-    rows = []
-    for name, trace in workloads.items():
-        dram_stats = build_hierarchy("fast-dram").run(trace)
-        sram_stats = build_hierarchy("sram").run(trace)
-        rows.append([
-            name,
-            f"{dram_stats.hit_rate(0):.2f}",
-            f"{dram_stats.average_energy / pJ:.1f} pJ",
-            f"{sram_stats.average_energy / pJ:.1f} pJ",
-            f"{dram_stats.average_time / ns:.2f} ns",
-            f"{sram_stats.average_time / ns:.2f} ns",
-        ])
-    print(format_table(
-        ["workload", "L1 hit", "E/op DRAM-L1", "E/op SRAM-L1",
-         "t/op DRAM-L1", "t/op SRAM-L1"], rows))
-    print()
-    print("Same hit rates by construction (identical behavioural caches); "
-          "the fast-DRAM L1 matches the SRAM on time and energy per "
-          "operation while using ~2.7x less die area and ~10x less "
-          "standby power — the paper's system-level argument.")
 
 
 if __name__ == "__main__":

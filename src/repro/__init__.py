@@ -23,8 +23,8 @@ Subpackages
     Cycle-exact refresh/access interference simulation (paper Fig. 5).
 ``repro.sramref``
     The ESSCIRC'08 SRAM baseline.
-``repro.stack3d`` / ``repro.cache``
-    The 3D-interconnect context and the cache-level application.
+``repro.stack3d``
+    The 3D-interconnect context: TSVs, die stacks, link energy.
 ``repro.obs``
     Instrumentation: metrics registry, span tracing, run reports.
 """

@@ -9,9 +9,9 @@ Two analyzer families share one diagnostics core:
   arguments, and :mod:`repro.obs` metric/span naming discipline.
 * :mod:`repro.analysis.model` — pre-solve checks of ``Circuit`` graphs
   and macro/refresh/tech configurations (``repro check``, M2xx):
-  floating nodes, voltage-source loops, dangling subckt ports, undamped
-  dynamic nodes, and physical-range validation — the defect classes
-  that otherwise surface as a singular MNA matrix deep inside a solve.
+  floating nodes, voltage-source loops, undamped dynamic nodes, and
+  physical-range validation — the defect classes that otherwise
+  surface as a singular MNA matrix deep inside a solve.
 
 Both emit :class:`~repro.analysis.diagnostics.Diagnostic` records with
 a stable rule ID, severity, location and fix hint; text and JSON
@@ -36,7 +36,6 @@ from repro.analysis.model import (
     check_organization,
     check_python_file,
     check_refresh_policy,
-    check_scope,
     check_targets,
     check_tech_node,
     default_targets,
@@ -48,6 +47,6 @@ __all__ = [
     "register_rules", "all_rules",
     "LINT_RULES", "lint_paths", "lint_source",
     "MODEL_RULES", "check_circuit", "check_organization",
-    "check_python_file", "check_refresh_policy", "check_scope",
+    "check_python_file", "check_refresh_policy",
     "check_targets", "check_tech_node", "default_targets",
 ]

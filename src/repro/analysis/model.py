@@ -13,8 +13,6 @@ before anything is solved:
 ``M205``  loop of voltage sources (singular matrix)
 ``M206``  undamped dynamic node: conductive paths only through nonlinear
           devices, no capacitance — goes near-singular when devices cut off
-``M207``  dangling subcircuit port (declared but unused, or mapped to a
-          node absent from the circuit)
 ``M208``  macro/organization out of physical range (retention,
           power-of-two geometry, voltages vs node limits)
 ``M209``  refresh policy saturates (or nearly saturates) its victim scope
@@ -45,7 +43,6 @@ MODEL_RULES: Dict[str, str] = register_rules("check", {
     "M204": "dangling node (single connection)",
     "M205": "voltage-source loop (singular matrix)",
     "M206": "undamped dynamic node (nonlinear-only paths, no capacitance)",
-    "M207": "dangling subcircuit port",
     "M208": "macro/organization parameter out of physical range",
     "M209": "refresh policy saturates its victim scope",
     "M210": "technology-node parameter outside plausible envelope",
@@ -155,30 +152,6 @@ def _voltage_source_loops(circuit, path: str) -> List[Diagnostic]:
             continue
         parent[root_a] = root_b
     return found
-
-
-def check_scope(scope) -> List[Diagnostic]:
-    """Port-discipline checks of a :class:`repro.spice.subckt.Scope`."""
-    from repro.spice.netlist import GROUND
-
-    path = f"subckt:{scope.instance}"
-    diagnostics = []
-    for local in sorted(scope.unresolved_ports()):
-        diagnostics.append(_diag(
-            "M207", Severity.WARNING,
-            f"port {local!r} of instance {scope.instance!r} was declared "
-            "but never used by the subcircuit builder", path,
-            hint="drop the port or check the local node name"))
-    circuit_nodes = set(scope.circuit.nodes())
-    for local, target in sorted(scope.ports.items()):
-        if target != GROUND and target not in circuit_nodes:
-            diagnostics.append(_diag(
-                "M207", Severity.ERROR,
-                f"port {local!r} of instance {scope.instance!r} maps to "
-                f"node {target!r} which does not exist in circuit "
-                f"{scope.circuit.name!r}", path,
-                hint="connect the port target or fix its spelling"))
-    return diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +416,6 @@ def check_object(obj, label: str = "") -> List[Diagnostic]:
     from repro.faults.repair import RepairModel
     from repro.refresh.controller import RefreshPolicy
     from repro.spice.netlist import Circuit
-    from repro.spice.subckt import Scope
     from repro.tech.node import TechnologyNode
 
     if isinstance(obj, FaultPlan):
@@ -454,8 +426,6 @@ def check_object(obj, label: str = "") -> List[Diagnostic]:
         return check_run_budget(obj)
     if isinstance(obj, Circuit):
         return check_circuit(obj)
-    if isinstance(obj, Scope):
-        return check_scope(obj)
     if isinstance(obj, MacroDesign):
         return check_macro(obj)
     if isinstance(obj, ArrayOrganization):

@@ -24,7 +24,6 @@ from repro.array.decoder import DecoderModel
 from repro.array.timing import AccessTiming, TimingModel
 from repro.array.energy import AccessEnergy, EnergyModel
 from repro.array.static_power import StaticPowerModel, StaticPowerReport
-from repro.array.scaling import scale_organization
 from repro.array.banking import BankedMemory, compare_banking_options
 from repro.array.margins import MarginPoint, ReadMarginAnalysis
 from repro.array.macro import MacroDesign
@@ -51,7 +50,6 @@ __all__ = [
     "EnergyModel",
     "StaticPowerModel",
     "StaticPowerReport",
-    "scale_organization",
     "BankedMemory",
     "MarginPoint",
     "ReadMarginAnalysis",

@@ -18,14 +18,12 @@ from repro.core.designspace import (
     sweep_cells_per_lbl,
     sweep_retention,
     sweep_sizes,
-    sweep_word_width,
-    WordWidthRow,
     ablate_architecture,
     AblationResult,
 )
 from repro.core.report import format_table
-from repro.core.figures import ascii_chart, comparison_chart
-from repro.core.pvt import PvtAnalysis, PvtPoint, hot_retention_derating
+from repro.core.figures import ascii_chart
+from repro.core.pvt import PvtAnalysis, PvtPoint
 from repro.core.sensitivity import Sensitivity, SensitivityAnalysis
 from repro.core.optimizer import (
     DesignCandidate,
@@ -49,16 +47,12 @@ __all__ = [
     "sweep_cells_per_lbl",
     "sweep_retention",
     "sweep_sizes",
-    "sweep_word_width",
-    "WordWidthRow",
     "ablate_architecture",
     "AblationResult",
     "format_table",
     "ascii_chart",
-    "comparison_chart",
     "PvtAnalysis",
     "PvtPoint",
-    "hot_retention_derating",
     "Sensitivity",
     "SensitivityAnalysis",
     "DesignCandidate",

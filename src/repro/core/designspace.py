@@ -175,85 +175,6 @@ def sweep_sizes(sizes: Sequence[int] = (128 * kb, 512 * kb, 2048 * kb),
     return rows
 
 
-def _evaluate_size_row(bits: int, technology: str,
-                       retention_override: float) -> SizeSweepRow:
-    """One size point (module-level so worker processes can unpickle
-    it); ``retention_override`` in seconds."""
-    design = FastDramDesign(technology=technology)
-    macro = design.build(bits, retention_override=retention_override)
-    return SizeSweepRow(
-        total_bits=bits,
-        access_time=macro.access_time(),
-        read_energy=macro.read_energy().total,
-        write_energy=macro.write_energy().total,
-        area=macro.area(),
-        static_power=macro.static_power().power,
-    )
-
-
-def sweep_sizes_resumable(sizes: Sequence[int] = (128 * kb, 512 * kb,
-                                                  2048 * kb),
-                          technology: str = "dram",
-                          retention_override: float = 1 * ms,
-                          checkpoint: Optional[Checkpoint] = None,
-                          budget: Optional[RunBudget] = None,
-                          jobs: int = 1,
-                          batch: int = 1) -> SweepOutcome:
-    """Checkpointed, budget-bounded :func:`sweep_sizes`.
-
-    ``retention_override`` is in seconds; ``jobs > 1`` evaluates the
-    sizes in worker processes with identical results.  ``batch`` sets
-    the dispatch chunk size only (see :func:`sweep_retention_resumable`).
-    """
-    if batch < 1:
-        raise ConfigurationError("batch must be >= 1")
-    items = [(f"bits={bits}", _evaluate_size_row,
-              (bits, technology, retention_override))
-             for bits in sizes]
-    return run_parallel_sweep(
-        items, jobs=jobs, checkpoint=checkpoint, budget=budget,
-        encode=dataclasses.asdict,
-        decode=lambda raw: SizeSweepRow(**raw),
-        chunk_size=batch if batch > 1 else None,
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class WordWidthRow:
-    """One point of the word-width sweep."""
-
-    word_bits: int
-    access_time: float
-    read_energy_per_bit: float
-    area: float
-
-
-def sweep_word_width(widths: Sequence[int] = (16, 32, 64, 128),
-                     total_bits: int = 128 * kb) -> List[WordWidthRow]:
-    """Sweep the word width (one LWL = one word, paper Fig. 1).
-
-    Wider words amortise decode/global overheads per bit but lengthen
-    the LWL and widen the local block; the sweep exposes the optimum
-    the paper's 32-bit choice sits near.
-    """
-    design_rows = []
-    for width in widths:
-        if total_bits % (width * 32):
-            continue
-        design = FastDramDesign()
-        macro = design.build(total_bits, word_bits=width,
-                             retention_override=1 * ms)
-        design_rows.append(WordWidthRow(
-            word_bits=width,
-            access_time=macro.access_time(),
-            read_energy_per_bit=macro.energy_per_bit(),
-            area=macro.area(),
-        ))
-    if not design_rows:
-        raise ConfigurationError("no feasible word width in the sweep")
-    return design_rows
-
-
 @dataclasses.dataclass(frozen=True)
 class AblationResult:
     """Proposed architecture vs one disabled feature."""

@@ -9,7 +9,7 @@ decades).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -72,16 +72,3 @@ def ascii_chart(series: Dict[str, Sequence[float]],
     lines.append(" " + "   ".join(legend))
     return "\n".join(lines)
 
-
-def comparison_chart(rows: List, metric_label: str,
-                     log_y: bool = True) -> str:
-    """Render a list of :class:`~repro.core.compare.ComparisonRow` as an
-    SRAM-vs-DRAM chart over memory size."""
-    if not rows:
-        raise ConfigurationError("no rows to chart")
-    sizes = [float(r.total_bits) for r in rows]
-    return ascii_chart(
-        {"SRAM": [r.sram for r in rows], "DRAM": [r.dram for r in rows]},
-        sizes, log_x=True, log_y=log_y,
-        x_label="bits", y_label=metric_label,
-    )

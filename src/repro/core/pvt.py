@@ -106,17 +106,3 @@ class PvtAnalysis:
                 points.append(self.evaluate(corner, temperature))
         return points
 
-
-def hot_retention_derating(technology: str = "dram",
-                           temperatures: Sequence[float] = (300.0, 330.0,
-                                                            358.0),
-                           samples: int = 600) -> List[PvtPoint]:
-    """Retention vs temperature at the typical corner.
-
-    Isolates the effect the refresh controller must budget for: the
-    worst-case retention collapse with temperature (junction leakage
-    doubling per ~10 K).
-    """
-    analysis = PvtAnalysis(technology=technology,
-                           retention_samples=samples)
-    return [analysis.evaluate(Corner.TT, t) for t in temperatures]

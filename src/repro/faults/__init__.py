@@ -8,7 +8,7 @@ The subsystem splits cleanly in three:
   spare-row repair, yielding a degraded-but-functional
   :class:`DegradedMacroReport`);
 * :mod:`repro.faults.injector` — how the survivors perturb the
-  behavioural engines (refresh interference, cache hierarchy);
+  refresh interference simulator;
 * :mod:`repro.faults.chaos` — process-level chaos (worker kill/hang/
   slow, torn checkpoints, disk-full sinks) proving the supervised
   executor loses nothing and drifts nowhere.
@@ -24,7 +24,7 @@ from repro.faults.chaos import (
     run_chaos_matrix,
     run_chaos_scenario,
 )
-from repro.faults.injector import CacheFaultModel, FaultyRefreshPolicy
+from repro.faults.injector import FaultyRefreshPolicy
 from repro.faults.plan import (
     FaultPlan,
     RefreshFault,
@@ -42,7 +42,6 @@ from repro.faults.repair import (
 
 __all__ = [
     "CHAOS_SCENARIOS",
-    "CacheFaultModel",
     "ChaosPlan",
     "ChaosReport",
     "DegradedMacroReport",

@@ -1,5 +1,5 @@
-"""Fault injection adapters: replay a :class:`FaultPlan` against the
-behavioural engines.
+"""Fault injection adapter: replay a :class:`FaultPlan` against the
+refresh interference simulator.
 
 :class:`FaultyRefreshPolicy` wraps any refresh schedule and corrupts the
 operations the plan marks: a *dropped* refresh (dead wordline driver)
@@ -9,11 +9,6 @@ never restored, a data-loss event every period — and a *late* refresh
 window it collides with accesses.  The interference simulator detects
 the wrapper by its ``faults`` method and reports
 dropped/late/data-loss counts in its stats.
-
-:class:`CacheFaultModel` carries one macro's post-repair degraded-mode
-report into the cache hierarchy: capacity lost to mapped-out rows
-shrinks the bits a cache may claim, and accesses landing on ECC-reliant
-rows are counted as corrected errors.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
-from repro.faults.repair import DegradedMacroReport
 from repro.refresh.controller import RefreshPolicy
 
 
@@ -113,31 +107,3 @@ class FaultyRefreshPolicy:
 
     refresh_starting_at = RefreshPolicy.refresh_starting_at
 
-
-@dataclasses.dataclass(frozen=True)
-class CacheFaultModel:
-    """Degraded-mode view of one cache level's macro.
-
-    Pure accounting over the macro's post-repair
-    :class:`~repro.faults.repair.DegradedMacroReport`; the hierarchy
-    uses it to shrink usable capacity and to count expected
-    ECC-corrected errors as the trace walks.
-    """
-
-    report: DegradedMacroReport
-
-    @property
-    def capacity_loss_fraction(self) -> float:
-        return self.report.capacity_loss_fraction
-
-    def usable_bits(self, total_bits: int) -> int:
-        """Bits left after mapped-out rows are removed."""
-        return int(total_bits * (1.0 - self.capacity_loss_fraction))
-
-    def correction_probability(self) -> float:
-        """Probability one access lands on an ECC-reliant row."""
-        return self.report.correctable_rows / self.report.total_rows
-
-    def expected_corrected_errors(self, accesses: int) -> float:
-        """Expected corrected-error events over ``accesses`` accesses."""
-        return accesses * self.correction_probability()

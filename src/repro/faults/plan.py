@@ -15,8 +15,8 @@ faults over one memory matrix:
 The plan is pure data: generation (:func:`generate_fault_plan`) is
 separated from injection (:mod:`repro.faults.injector`) and repair
 (:mod:`repro.faults.repair`), so one plan can be replayed against the
-refresh simulator, the macro margin checks and the cache hierarchy —
-and archived next to the run report that used it.
+refresh simulator and the macro margin checks — and archived next to
+the run report that used it.
 
 Construction validates only types and signs; *physical consistency*
 (weak-cell fraction above 1, coordinates outside the matrix, duplicate

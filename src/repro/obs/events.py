@@ -2,7 +2,7 @@
 
 Metrics answer "how much"; spans answer "how long"; events answer
 "*what happened, when*".  An :class:`Event` is one discrete occurrence
-— a recovery-ladder escalation, a dropped refresh, a cache eviction, a
+— a recovery-ladder escalation, a dropped refresh, a worker crash, a
 checkpoint write — with a dotted lowercase ``kind`` and a small JSON-
 serialisable payload.  Call sites emit through
 :func:`repro.obs.event` (a no-op while instrumentation is disabled)::

@@ -33,13 +33,7 @@ from repro.spice.elements import (
     pwl,
 )
 from repro.spice.mosfet import MosfetElement
-from repro.spice.subckt import Scope
-from repro.spice.stdcells import (
-    add_inverter,
-    add_inverter_chain,
-    add_latch_sense_amp,
-    build_ring_oscillator,
-)
+from repro.spice.stdcells import add_inverter, build_ring_oscillator
 from repro.spice.op import solve_dc
 from repro.spice.stampplan import StampPlan, stamping_order
 from repro.spice.export import save_waveforms, waveforms_to_csv
@@ -48,7 +42,6 @@ from repro.spice.batch import (
     BatchTransientModel,
     batch_transient_outcomes,
     eval_model_batch,
-    simulate_transient_batch,
 )
 from repro.spice.measure import (
     crossing_time,
@@ -68,10 +61,7 @@ __all__ = [
     "Diode",
     "Switch",
     "MosfetElement",
-    "Scope",
     "add_inverter",
-    "add_inverter_chain",
-    "add_latch_sense_amp",
     "build_ring_oscillator",
     "dc",
     "save_waveforms",
@@ -86,7 +76,6 @@ __all__ = [
     "BatchTransientModel",
     "batch_transient_outcomes",
     "eval_model_batch",
-    "simulate_transient_batch",
     "crossing_time",
     "delay_between",
     "signal_swing",

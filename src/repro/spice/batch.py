@@ -1371,23 +1371,6 @@ def batch_transient_outcomes(
                       scalar_run)
 
 
-def simulate_transient_batch(
-        circuits: Sequence[Circuit], t_stop: float, dt: float,
-        initial_voltages: Any = None, integrator: str = "be",
-        recovery: Optional[RecoveryConfig] = None,
-        backend: str = "auto") -> List[TransientResult]:
-    """Like :func:`batch_transient_outcomes`, raising the first
-    (sample-order) captured failure instead of returning it."""
-    results: List[TransientResult] = []
-    for ok, payload in batch_transient_outcomes(
-            circuits, t_stop, dt, initial_voltages=initial_voltages,
-            integrator=integrator, recovery=recovery, backend=backend):
-        if not ok:
-            raise payload
-        results.append(payload)
-    return results
-
-
 # -- the Monte-Carlo batching contract -----------------------------------------
 
 class BatchTransientModel:

@@ -1,10 +1,9 @@
-"""Standard subcircuit builders: inverters, chains, ring oscillators,
-latch sense amplifiers.
+"""The inverter ring oscillator: a transistor-level gate-delay anchor.
 
-These compose the :class:`~repro.spice.subckt.Scope` mechanism with the
-:mod:`repro.tech` device cards.  The ring oscillator doubles as a
-cross-check of the analytic FO4 delay used by the architecture timing
-model (see ``tests/spice/test_stdcells.py``).
+:func:`build_ring_oscillator` chains :func:`add_inverter` stages built
+from the :mod:`repro.tech` device cards.  Its period cross-checks the
+analytic inverter delay that the architecture timing model scales every
+decoder stage by (see ``tests/spice/test_stdcells.py``).
 """
 
 from __future__ import annotations
@@ -13,60 +12,35 @@ from repro.errors import ConfigurationError
 from repro.spice.elements import Capacitor, VoltageSource, dc
 from repro.spice.mosfet import MosfetElement
 from repro.spice.netlist import Circuit
-from repro.spice.subckt import Scope
 from repro.tech.node import Polarity, TechnologyNode, VtFlavor
 from repro.tech.transistor import Mosfet
-from repro.units import fF
 
 
-def add_inverter(scope: Scope, node: TechnologyNode,
-                 input_node: str = "in", output_node: str = "out",
+def add_inverter(circuit: Circuit, node: TechnologyNode, name: str,
+                 input_node: str, output_node: str,
                  supply_node: str = "vdd",
                  nmos_units: float = 2.0, pmos_units: float = 4.0,
                  flavor: VtFlavor = VtFlavor.SVT) -> None:
     """A static CMOS inverter with explicit output self-loading.
 
-    The MOSFET element's gate is currentless, so the inverter's input
-    capacitance is stamped as an explicit capacitor — keeping transient
-    loading physical when inverters are chained.
+    Its elements are named ``<name>.mn``, ``<name>.mp``, ``<name>.cin``
+    and ``<name>.cself``.  The MOSFET element's gate is currentless, so
+    the inverter's input capacitance is stamped as an explicit
+    capacitor — keeping transient loading physical when inverters are
+    chained.
     """
     nmos = Mosfet(node, Polarity.NMOS, flavor,
                   width=node.width_units(nmos_units))
     pmos = Mosfet(node, Polarity.PMOS, flavor,
                   width=node.width_units(pmos_units))
-    scope.add(MosfetElement(scope.name("mn"), scope.node(output_node),
-                            scope.node(input_node), "0", nmos))
-    scope.add(MosfetElement(scope.name("mp"), scope.node(output_node),
-                            scope.node(input_node),
-                            scope.node(supply_node), pmos))
+    circuit.add(MosfetElement(f"{name}.mn", output_node, input_node, "0",
+                              nmos))
+    circuit.add(MosfetElement(f"{name}.mp", output_node, input_node,
+                              supply_node, pmos))
     c_in = nmos.gate_capacitance() + pmos.gate_capacitance()
-    scope.add(Capacitor(scope.name("cin"), scope.node(input_node), "0",
-                        c_in))
+    circuit.add(Capacitor(f"{name}.cin", input_node, "0", c_in))
     c_self = nmos.junction_capacitance() + pmos.junction_capacitance()
-    scope.add(Capacitor(scope.name("cself"), scope.node(output_node), "0",
-                        c_self))
-
-
-def add_inverter_chain(scope: Scope, node: TechnologyNode, stages: int,
-                       input_node: str = "in", output_node: str = "out",
-                       supply_node: str = "vdd",
-                       fanout: float = 1.0) -> None:
-    """A chain of ``stages`` inverters, each ``fanout`` times the last."""
-    if stages < 1:
-        raise ConfigurationError("chain needs at least one stage")
-    if fanout <= 0:
-        raise ConfigurationError("fanout must be positive")
-    previous = input_node
-    for stage in range(stages):
-        is_last = stage == stages - 1
-        out = output_node if is_last else f"n{stage}"
-        size = fanout ** stage
-        inverter = scope.child(f"inv{stage}", ports={
-            "in": previous, "out": out, "vdd": supply_node,
-        })
-        add_inverter(inverter, node, nmos_units=2.0 * size,
-                     pmos_units=4.0 * size)
-        previous = out
+    circuit.add(Capacitor(f"{name}.cself", output_node, "0", c_self))
 
 
 def build_ring_oscillator(node: TechnologyNode, stages: int = 5,
@@ -83,41 +57,7 @@ def build_ring_oscillator(node: TechnologyNode, stages: int = 5,
     circuit.add(VoltageSource("vdd", "vdd", "0", dc(node.vdd)))
     for stage in range(stages):
         out = f"ring{(stage + 1) % stages}"
-        scope = Scope(circuit, f"inv{stage}", ports={
-            "in": f"ring{stage}", "out": out, "vdd": "vdd",
-        })
-        add_inverter(scope, node)
+        add_inverter(circuit, node, f"inv{stage}", f"ring{stage}", out)
         if load_per_stage > 0:
             circuit.add(Capacitor(f"cl{stage}", out, "0", load_per_stage))
     return circuit
-
-
-def add_latch_sense_amp(scope: Scope, node: TechnologyNode,
-                        bit_node: str = "bit", bitb_node: str = "bitb",
-                        enable_node: str = "enable",
-                        supply_node: str = "vdd",
-                        nmos_units: float = 4.0,
-                        pmos_units: float = 6.0) -> None:
-    """A cross-coupled latch sense amplifier with footed enable.
-
-    The same topology the local-block simulation uses, packaged for
-    reuse (the global SA, test benches).
-    """
-    from repro.spice.elements import Switch
-
-    sa_n = Mosfet(node, Polarity.NMOS, VtFlavor.SVT,
-                  width=node.width_units(nmos_units))
-    sa_p = Mosfet(node, Polarity.PMOS, VtFlavor.SVT,
-                  width=node.width_units(pmos_units))
-    bit, bitb = scope.node(bit_node), scope.node(bitb_node)
-    tail, head = scope.node("tail"), scope.node("head")
-    scope.add(MosfetElement(scope.name("mn1"), bit, bitb, tail, sa_n))
-    scope.add(MosfetElement(scope.name("mn2"), bitb, bit, tail, sa_n))
-    scope.add(MosfetElement(scope.name("mp1"), bit, bitb, head, sa_p))
-    scope.add(MosfetElement(scope.name("mp2"), bitb, bit, head, sa_p))
-    scope.add(Switch(scope.name("sw_foot"), tail, "0",
-                     scope.node(enable_node), "0", threshold=0.6,
-                     r_on=500.0))
-    scope.add(Switch(scope.name("sw_head"), head, scope.node(supply_node),
-                     scope.node(enable_node), "0", threshold=0.6,
-                     r_on=500.0))

@@ -17,14 +17,13 @@ analytic, calibrated models of:
 
 from repro.tech.node import TechnologyNode, TransistorParams, VtFlavor, Polarity
 from repro.tech.transistor import Mosfet
-from repro.tech.wire import Wire, WireLayer, repeater_stage_delay
+from repro.tech.wire import Wire, WireLayer
 from repro.tech.capacitor import StorageCapacitor, CapacitorKind
 from repro.tech.corners import Corner, apply_corner
 from repro.tech.leakage import (
     subthreshold_leakage,
     gate_leakage,
     junction_leakage,
-    stacked_leakage_factor,
 )
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "Mosfet",
     "Wire",
     "WireLayer",
-    "repeater_stage_delay",
     "StorageCapacitor",
     "CapacitorKind",
     "Corner",
@@ -43,5 +41,4 @@ __all__ = [
     "subthreshold_leakage",
     "gate_leakage",
     "junction_leakage",
-    "stacked_leakage_factor",
 ]

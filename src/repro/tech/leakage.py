@@ -35,18 +35,6 @@ def junction_leakage(node: TechnologyNode, junction_width: float) -> float:
     return node.junction_leak_per_width * junction_width
 
 
-def stacked_leakage_factor(stack_depth: int) -> float:
-    """Leakage reduction factor of a stack of series off-devices.
-
-    Two stacked off transistors leak roughly an order of magnitude less
-    than one (the shared node self-biases).  Modelled as 10x per extra
-    device, the standard first-order rule.
-    """
-    if stack_depth < 1:
-        raise ConfigurationError("stack depth must be >= 1")
-    return 10.0 ** -(stack_depth - 1)
-
-
 def sram_cell_leakage(node: TechnologyNode, cell_device: Mosfet) -> float:
     """Leakage of one 6T SRAM cell, amperes.
 

@@ -9,10 +9,9 @@ model picks local/intermediate/global layers for LBL/LWL/GBL/GWL nets.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from repro.errors import ConfigurationError
-from repro.units import fF, mm, ohm, um
+from repro.units import fF, ohm, um
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,34 +90,3 @@ class Wire:
         supply = swing if supply is None else supply
         return self.capacitance * swing * supply
 
-
-def optimal_repeater_count(wire: Wire, driver_resistance: float,
-                           driver_capacitance: float) -> int:
-    """Number of repeaters minimising delay on a long resistive wire.
-
-    Classical result: ``k = sqrt(0.4 * Rw * Cw / (0.7 * Rd * Cd))``.
-    Returns at least 1 (a single driver, i.e. no intermediate repeater).
-    """
-    if driver_resistance <= 0 or driver_capacitance <= 0:
-        raise ConfigurationError("repeater sizing needs positive driver R and C")
-    r_w, c_w = wire.resistance, wire.capacitance
-    if r_w == 0 or c_w == 0:
-        return 1
-    k = math.sqrt((0.4 * r_w * c_w) / (0.7 * driver_resistance * driver_capacitance))
-    return max(1, round(k))
-
-
-def repeater_stage_delay(wire: Wire, driver_resistance: float,
-                         driver_capacitance: float) -> float:
-    """Delay of ``wire`` when optimally repeated.
-
-    Splits the wire in :func:`optimal_repeater_count` equal stages, each a
-    driver + wire segment + next-stage gate load, and sums the Elmore
-    delays.  Used by :mod:`repro.array.scaling` for the 2 Mb GBL/GWL
-    extension, where the paper notes "a timing penalty due to larger
-    buffers needed on this signal".
-    """
-    k = optimal_repeater_count(wire, driver_resistance, driver_capacitance)
-    segment = Wire(layer=wire.layer, length=wire.length / k)
-    per_stage = segment.elmore_delay(driver_resistance, driver_capacitance)
-    return k * per_stage

@@ -14,8 +14,7 @@ import pytest
 
 from repro.checkpoint import Checkpoint, RunBudget
 from repro.core.designspace import (sweep_retention,
-                                    sweep_retention_resumable,
-                                    sweep_sizes, sweep_sizes_resumable)
+                                    sweep_retention_resumable)
 from repro.core.optimizer import DesignOptimizer
 from repro.errors import ConfigurationError, SimulationError
 from repro.exec import run_parallel_sweep
@@ -155,14 +154,6 @@ class TestResumableSweeps:
         resumed = sweep_retention_resumable(self.VALUES, checkpoint=ckpt)
         assert resumed.complete
         assert list(resumed.results.values()) == sweep_retention(self.VALUES)
-
-    def test_sizes_resume_matches_uninterrupted(self, tmp_path):
-        sizes = (128 * kb, 512 * kb)
-        ckpt = Checkpoint(tmp_path / "s.json",
-                          config_fingerprint({"sizes": sizes}))
-        sweep_sizes_resumable(sizes, checkpoint=ckpt)
-        resumed = sweep_sizes_resumable(sizes, checkpoint=ckpt)
-        assert list(resumed.results.values()) == sweep_sizes(sizes)
 
     def test_optimizer_partial_then_full(self, tmp_path):
         optimizer = DesignOptimizer(total_bits=128 * kb)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import ascii_chart, comparison_chart
-from repro.core.compare import ComparisonRow
+from repro.core import ascii_chart
 from repro.errors import ConfigurationError
 
 
@@ -52,16 +51,3 @@ class TestAsciiChart:
     def test_single_point_rejected(self):
         with pytest.raises(ConfigurationError):
             ascii_chart({"a": [1]}, [0])
-
-
-class TestComparisonChart:
-    def test_renders_rows(self):
-        rows = [ComparisonRow(total_bits=131072, sram=2.0, dram=1.0),
-                ComparisonRow(total_bits=2097152, sram=8.0, dram=3.0)]
-        chart = comparison_chart(rows, "area")
-        assert "SRAM" in chart and "DRAM" in chart
-        assert "area" in chart
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            comparison_chart([], "x")

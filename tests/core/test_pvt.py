@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PvtAnalysis, hot_retention_derating
+from repro.core import PvtAnalysis
 from repro.errors import ConfigurationError
 from repro.tech import Corner
 
@@ -40,11 +40,6 @@ class TestRetentionCollapse:
         cold = dram_points["TT@300K"].static_power
         hot = dram_points["TT@358K"].static_power
         assert hot > 10 * cold
-
-    def test_derating_curve_monotone(self):
-        points = hot_retention_derating(samples=300)
-        retentions = [p.worst_retention for p in points]
-        assert retentions == sorted(retentions, reverse=True)
 
 
 class TestSramVariant:

@@ -10,7 +10,6 @@ from repro import obs
 from repro.errors import ConfigurationError
 from repro.faults import (FaultPlan, RepairModel, StuckBit, WeakCell,
                           assess_plan, generate_fault_plan)
-from repro.units import kb
 
 
 def handcrafted_plan() -> FaultPlan:
@@ -109,23 +108,3 @@ class TestMacroIntegration:
         plan = generate_fault_plan(seed=3, n_blocks=2, rows_per_block=4)
         with pytest.raises(ConfigurationError):
             dram_macro_128kb.fault_assessment(plan)
-
-
-class TestHierarchyDegradation:
-    def test_cache_fault_model_shrinks_capacity_and_counts_errors(
-            self, dram_macro_128kb):
-        from repro.faults import CacheFaultModel
-        from repro.faults.repair import DegradedMacroReport
-
-        report = DegradedMacroReport(
-            plan_fingerprint="x", total_rows=4096, spare_rows_used=0,
-            spare_rows_available=0, repaired_rows=0, mapped_out_rows=409,
-            corrected_bits_per_access=1, correctable_rows=41,
-            surviving_weak_cells=0, base_refresh_period=1e-3,
-            degraded_refresh_period=1e-3, sa_margin_multiplier=1.0)
-        model = CacheFaultModel(report)
-        total = 128 * kb
-        assert model.usable_bits(total) < total
-        assert model.correction_probability() == pytest.approx(41 / 4096)
-        assert model.expected_corrected_errors(1000) == pytest.approx(
-            1000 * 41 / 4096)

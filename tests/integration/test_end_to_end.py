@@ -1,19 +1,10 @@
 """Integration: cross-module consistency of the full system."""
 
-import numpy as np
 import pytest
 
 from repro import FastDramDesign
-from repro.cache import (
-    ActivityPowerModel,
-    Cache,
-    CacheHierarchy,
-    HierarchyLevel,
-    looping_addresses,
-)
 from repro.core import SramDramComparison
-from repro.stack3d import hybrid_cache_stack
-from repro.units import Mb, kb
+from repro.units import kb
 
 
 class TestAnalyticVsCircuit:
@@ -42,34 +33,12 @@ class TestAnalyticVsCircuit:
 
 
 class TestSystemAssembly:
-    def test_stack_hierarchy_workload(self, rng):
-        """Fig. 2 system end to end: stack -> hierarchy -> workload."""
-        stack = hybrid_cache_stack()
-        l1_macro, l2_macro = stack.dies[1].macros
-        hierarchy = CacheHierarchy(levels=[
-            HierarchyLevel("L1", Cache(2048, 4, 8), l1_macro),
-            HierarchyLevel("L2", Cache(32768, 8, 8), l2_macro),
-        ])
-        stats = hierarchy.run(looping_addresses(30000, 1500, rng))
-        assert stats.hit_rate(0) > 0.95
-        # Per-op energy near the L1 read energy once the compulsory
-        # misses of the first pass have amortised.
-        assert stats.average_energy < 4 * l1_macro.read_energy().total
-
     def test_comparison_consistent_with_macros(self):
         comparison = SramDramComparison(sizes=(128 * kb,),
                                         retention_override=1e-3)
         row = comparison.access_time()[0]
         dram = comparison.dram_macro(128 * kb)
         assert row.dram == pytest.approx(dram.access_time())
-
-    def test_activity_model_consistent_with_compare(self):
-        comparison = SramDramComparison(sizes=(128 * kb,),
-                                        retention_override=1e-3)
-        macro = comparison.dram_macro(128 * kb)
-        activity_model = ActivityPowerModel(macro=macro)
-        row = comparison.total_power(activity=0.5, total_bits=128 * kb)
-        assert activity_model.power_at(0.5).total == pytest.approx(row.dram)
 
 
 class TestDeterminism:

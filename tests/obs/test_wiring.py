@@ -80,37 +80,6 @@ class TestSpiceWiring:
         assert str(ConvergenceError("plain")) == "plain"
 
 
-class TestCacheWiring:
-    def test_hierarchy_run_publishes_per_level_gauges(self):
-        from repro.cache import Cache, CacheHierarchy, HierarchyLevel
-        from repro.cache.workloads import AddressTrace
-        from repro.units import kb
-        design = FastDramDesign()
-        levels = [
-            HierarchyLevel("L1", Cache(1024), design.build(128 * kb,
-                           retention_override=1e-3)),
-            HierarchyLevel("L2", Cache(8192), design.build(512 * kb,
-                           retention_override=1e-3)),
-        ]
-        hierarchy = CacheHierarchy(levels=levels)
-        addresses = np.arange(2000) % 4096
-        trace = AddressTrace(addresses=addresses,
-                             writes=np.zeros(2000, dtype=bool))
-        tracer = obs.Tracer()
-        with obs.instrumented(tracer=tracer) as registry:
-            stats = hierarchy.run(trace)
-        snap = registry.snapshot()
-        assert snap["counters"]["hierarchy.accesses"] == stats.accesses
-        l1 = snap["gauges"]
-        assert l1["cache.L1.hits"] == levels[0].cache.stats.hits
-        assert (l1["cache.L1.misses"]
-                == levels[0].cache.stats.accesses
-                - levels[0].cache.stats.hits)
-        assert "cache.L2.evictions" in l1
-        (root,) = tracer.finished_roots()
-        assert root.name == "hierarchy.run"
-
-
 class TestMacroWiring:
     def test_build_and_summary_record_spans_and_gauges(self):
         from repro.units import kb

@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.cells.dram1t1c import Dram1t1cCell
-from repro.errors import (ConfigurationError, ConvergenceError, ReproError,
-                          SimulationError)
+from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.spice import (
     BatchTransientModel,
     Capacitor,
@@ -34,7 +33,6 @@ from repro.spice import (
     dc,
     eval_model_batch,
     simulate_transient,
-    simulate_transient_batch,
 )
 from repro.core import FastDramDesign
 from repro.spice import batch as batch_module
@@ -101,8 +99,9 @@ def _assert_outcomes_identical(batched, serial):
 class TestBitIdentity:
     def test_waveforms_bit_identical(self):
         circuits = _stack(5, seed=7)
-        batched = simulate_transient_batch(circuits, T_STOP, DT)
-        for circuit, result in zip(circuits, batched):
+        batched = batch_transient_outcomes(circuits, T_STOP, DT)
+        assert all(ok for ok, _ in batched)
+        for circuit, (_, result) in zip(circuits, batched):
             reference = simulate_transient(circuit, T_STOP, DT)
             assert np.array_equal(result.data, reference.data)
             assert np.array_equal(result.time, reference.time)
@@ -111,9 +110,11 @@ class TestBitIdentity:
     def test_per_sample_initial_voltages(self):
         circuits = _stack(3, seed=11)
         initials = [{"mid": 0.1 * b} for b in range(3)]
-        batched = simulate_transient_batch(circuits, T_STOP, DT,
+        batched = batch_transient_outcomes(circuits, T_STOP, DT,
                                            initial_voltages=initials)
-        for circuit, initial, result in zip(circuits, initials, batched):
+        assert all(ok for ok, _ in batched)
+        for circuit, initial, (_, result) in zip(circuits, initials,
+                                                 batched):
             reference = simulate_transient(circuit, T_STOP, DT,
                                            initial_voltages=initial)
             assert np.array_equal(result.data, reference.data)
@@ -142,15 +143,6 @@ class TestBitIdentity:
         serial = _serial_outcomes(circuits, recovery=recovery)
         assert any(not ok for ok, _ in serial)  # the workload is stiff
         _assert_outcomes_identical(batched, serial)
-
-    def test_simulate_transient_batch_raises_first_failure(self):
-        circuits = _stack(3, seed=5, v_t=0.012)
-        recovery = RecoveryConfig(
-            max_newton=1, enable_damping=False, enable_substep=False,
-            enable_gmin=False, enable_source=False)
-        with pytest.raises(ConvergenceError):
-            simulate_transient_batch(circuits, T_STOP, DT,
-                                     recovery=recovery)
 
 
 class TestFallbacks:

@@ -1,4 +1,4 @@
-"""Tests for the standard-cell subcircuits.
+"""Tests for the inverter and the ring oscillator.
 
 The ring-oscillator test is the transistor-level cross-check of the
 analytic gate delay the whole architecture timing model rests on.
@@ -11,11 +11,8 @@ from repro.errors import ConfigurationError
 from repro.spice import (
     Capacitor,
     Circuit,
-    Scope,
     VoltageSource,
     add_inverter,
-    add_inverter_chain,
-    add_latch_sense_amp,
     build_ring_oscillator,
     crossing_time,
     dc,
@@ -32,8 +29,7 @@ class TestInverter:
             c = Circuit("inv")
             c.add(VoltageSource("vdd", "vdd", "0", dc(1.2)))
             c.add(VoltageSource("vin", "a", "0", dc(vin)))
-            add_inverter(Scope(c, "x1", {"in": "a", "out": "y",
-                                         "vdd": "vdd"}), logic_node)
+            add_inverter(c, logic_node, "x1", "a", "y")
             out = solve_dc(c)["y"]
             assert (out > 1.1) == expect_high
 
@@ -43,39 +39,13 @@ class TestInverter:
         c.add(VoltageSource("vin", "a", "0",
                             pulse(0.0, 1.2, delay=50 * ps, rise=10 * ps,
                                   width=10 * ns)))
-        add_inverter(Scope(c, "x1", {"in": "a", "out": "y", "vdd": "vdd"}),
-                     logic_node)
+        add_inverter(c, logic_node, "x1", "a", "y")
         c.add(Capacitor("cl", "y", "0", 5 * fF))
         result = simulate_transient(c, 1 * ns, 1 * ps,
                                     initial_voltages={"vdd": 1.2, "y": 1.2})
         fall = crossing_time(result, "y", 0.6, "fall")
         assert 50 * ps < fall < 300 * ps
         assert result.final_voltage("y") < 0.05
-
-
-class TestInverterChain:
-    def test_even_chain_is_buffer(self, logic_node):
-        c = Circuit("chain")
-        c.add(VoltageSource("vdd", "vdd", "0", dc(1.2)))
-        c.add(VoltageSource("vin", "a", "0", dc(1.2)))
-        add_inverter_chain(Scope(c, "x1", {"in": "a", "out": "y",
-                                           "vdd": "vdd"}),
-                           logic_node, stages=4)
-        assert solve_dc(c)["y"] > 1.1
-
-    def test_odd_chain_inverts(self, logic_node):
-        c = Circuit("chain")
-        c.add(VoltageSource("vdd", "vdd", "0", dc(1.2)))
-        c.add(VoltageSource("vin", "a", "0", dc(1.2)))
-        add_inverter_chain(Scope(c, "x1", {"in": "a", "out": "y",
-                                           "vdd": "vdd"}),
-                           logic_node, stages=3)
-        assert solve_dc(c)["y"] < 0.1
-
-    def test_argument_validation(self, logic_node):
-        scope = Scope(Circuit("x"), "x1")
-        with pytest.raises(ConfigurationError):
-            add_inverter_chain(scope, logic_node, stages=0)
 
 
 class TestRingOscillator:
@@ -139,40 +109,3 @@ class TestRingOscillator:
 
         assert period(10 * fF) > 2 * period(0.0)
 
-
-class TestLatchSenseAmp:
-    def test_resolves_small_differential(self, logic_node):
-        c = Circuit("sa")
-        c.add(VoltageSource("vdd", "vdd", "0", dc(1.2)))
-        c.add(VoltageSource("ven", "en", "0",
-                            pulse(0.0, 1.2, delay=0.2 * ns, rise=20 * ps,
-                                  width=10 * ns)))
-        c.add(Capacitor("cb", "bit", "0", 10 * fF, initial_voltage=0.65))
-        c.add(Capacitor("cbb", "bitb", "0", 10 * fF, initial_voltage=0.55))
-        add_latch_sense_amp(Scope(c, "sa1", {"bit": "bit", "bitb": "bitb",
-                                             "enable": "en",
-                                             "vdd": "vdd"}), logic_node)
-        result = simulate_transient(c, 2 * ns, 1 * ps,
-                                    initial_voltages={"vdd": 1.2,
-                                                      "bit": 0.65,
-                                                      "bitb": 0.55})
-        assert result.final_voltage("bit") > 1.0
-        assert result.final_voltage("bitb") < 0.2
-
-    def test_polarity_follows_input(self, logic_node):
-        c = Circuit("sa2")
-        c.add(VoltageSource("vdd", "vdd", "0", dc(1.2)))
-        c.add(VoltageSource("ven", "en", "0",
-                            pulse(0.0, 1.2, delay=0.2 * ns, rise=20 * ps,
-                                  width=10 * ns)))
-        c.add(Capacitor("cb", "bit", "0", 10 * fF, initial_voltage=0.55))
-        c.add(Capacitor("cbb", "bitb", "0", 10 * fF, initial_voltage=0.65))
-        add_latch_sense_amp(Scope(c, "sa1", {"bit": "bit", "bitb": "bitb",
-                                             "enable": "en",
-                                             "vdd": "vdd"}), logic_node)
-        result = simulate_transient(c, 2 * ns, 1 * ps,
-                                    initial_voltages={"vdd": 1.2,
-                                                      "bit": 0.55,
-                                                      "bitb": 0.65})
-        assert result.final_voltage("bit") < 0.2
-        assert result.final_voltage("bitb") > 1.0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.stack3d import compare_links, offchip_link, onchip_link, tsv_link
+from repro.units import pJ
 
 
 class TestSec1Claims:
@@ -27,6 +28,30 @@ class TestSec1Claims:
         result = compare_links()
         assert (result["3d-tsv"]["power_w"]
                 < result["off-chip"]["power_w"] / 50)
+
+
+class TestE11Table:
+    """EXPERIMENTS.md E11 rows, pinned at the precision it prints them."""
+
+    @staticmethod
+    def row(name):
+        entry = compare_links()[name]
+        return entry["energy_per_bit_j"] / pJ, entry["aggregate_bandwidth_bps"]
+
+    def test_tsv_row(self):
+        energy, bandwidth = self.row("3d-tsv")
+        assert f"{energy:.3f} pJ" == "0.050 pJ"
+        assert f"{bandwidth / 1e12:.1f} Tb/s" == "7.8 Tb/s"
+
+    def test_offchip_row(self):
+        energy, bandwidth = self.row("off-chip")
+        assert f"{energy:.2f} pJ" == "12.96 pJ"
+        assert f"{bandwidth / 1e9:.0f} Gb/s" == "205 Gb/s"
+
+    def test_onchip_row(self):
+        energy, bandwidth = self.row("on-chip")
+        assert f"{energy:.2f} pJ" == "1.87 pJ"
+        assert f"{bandwidth / 1e9:.0f} Gb/s" == "512 Gb/s"
 
 
 class TestLinkModel:

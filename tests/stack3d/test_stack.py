@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.stack3d import Die, DieStack, hybrid_cache_stack
-from repro.units import Mb, kb
+from repro.units import Mb, kb, mm2, ns
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,19 @@ class TestHybridStack:
         link = stack.interface()
         assert link.max_links > 500
         assert link.energy_per_bit < 1e-13
+
+
+class TestE11Stack:
+    """The E11 hybrid-stack figures, at EXPERIMENTS.md's precision."""
+
+    def test_signal_tsvs_on_25mm2_die(self, stack):
+        assert f"{stack.footprint / mm2:.0f} mm2" == "25 mm2"
+        assert stack.interface().max_links == 3906
+
+    def test_level_access_times(self, stack):
+        l1, l2 = stack.dies[1].macros
+        assert f"{l1.access_time() / ns:.2f} ns" == "1.06 ns"
+        assert f"{l2.access_time() / ns:.2f} ns" == "1.23 ns"
 
 
 class TestValidation:

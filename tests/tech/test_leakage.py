@@ -9,7 +9,6 @@ from repro.tech import (
     VtFlavor,
     gate_leakage,
     junction_leakage,
-    stacked_leakage_factor,
     subthreshold_leakage,
 )
 from repro.tech.leakage import sram_cell_leakage
@@ -36,19 +35,6 @@ class TestJunction:
     def test_rejects_nonpositive_width(self, logic_node):
         with pytest.raises(ConfigurationError):
             junction_leakage(logic_node, 0.0)
-
-
-class TestStacking:
-    def test_single_device_unity(self):
-        assert stacked_leakage_factor(1) == 1.0
-
-    def test_decade_per_extra_device(self):
-        assert stacked_leakage_factor(2) == pytest.approx(0.1)
-        assert stacked_leakage_factor(3) == pytest.approx(0.01)
-
-    def test_rejects_empty_stack(self):
-        with pytest.raises(ConfigurationError):
-            stacked_leakage_factor(0)
 
 
 class TestSramCell:

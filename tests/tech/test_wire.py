@@ -9,10 +9,8 @@ from repro.tech.wire import (
     LOCAL_LAYER,
     Wire,
     WireLayer,
-    optimal_repeater_count,
-    repeater_stage_delay,
 )
-from repro.units import fF, mm, ohm, um
+from repro.units import fF, um
 
 
 class TestWireLayer:
@@ -77,23 +75,3 @@ class TestWire:
         with pytest.raises(ConfigurationError):
             Wire(LOCAL_LAYER, 1 * um).energy(-0.5)
 
-
-class TestRepeaters:
-    def test_short_wire_needs_no_repeater(self):
-        wire = Wire(GLOBAL_LAYER, 10 * um)
-        assert optimal_repeater_count(wire, 1e3, 2 * fF) == 1
-
-    def test_long_wire_wants_repeaters(self):
-        wire = Wire(LOCAL_LAYER, 5 * mm)
-        assert optimal_repeater_count(wire, 1e3, 2 * fF) > 1
-
-    def test_repeated_beats_unrepeated_on_long_wire(self):
-        wire = Wire(LOCAL_LAYER, 5 * mm)
-        repeated = repeater_stage_delay(wire, 1e3, 2 * fF)
-        direct = wire.elmore_delay(1e3)
-        assert repeated < direct
-
-    def test_repeater_count_rejects_bad_driver(self):
-        wire = Wire(LOCAL_LAYER, 1 * mm)
-        with pytest.raises(ConfigurationError):
-            optimal_repeater_count(wire, 0.0, 2 * fF)
