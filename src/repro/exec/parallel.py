@@ -453,10 +453,18 @@ class _Sweep:
 
     def run_pool(self) -> None:
         context = _pool_context()
-        channel = context.Queue() if self.policy.watched else None
+        channel = None
         instrument = obs.is_enabled()
 
         def new_pool() -> ProcessPoolExecutor:
+            # Each pool gets its own heartbeat queue: a worker killed
+            # while sending a heartbeat dies holding the queue's
+            # cross-process write lock, and no later "start" or beat
+            # sent through that queue would ever arrive.
+            nonlocal channel
+            if channel is not None:
+                channel.close()
+            channel = context.Queue() if self.policy.watched else None
             return ProcessPoolExecutor(max_workers=self.jobs,
                                        mp_context=context,
                                        initializer=init_worker,

@@ -156,10 +156,16 @@ def init_worker(channel: Any) -> None:
     Also restores the default SIGTERM disposition — a forked worker
     must not inherit the parent's :func:`trap_termination` handler
     (executor teardown TERMs workers, and a trapped TERM would turn
-    into a spurious in-worker :class:`KeyboardInterrupt`).
+    into a spurious in-worker :class:`KeyboardInterrupt`).  A worker
+    does not wait for the queue's feeder thread when it exits: a
+    sibling killed mid-send leaves the queue's write lock taken, the
+    feeder would block on it for good, and so would the executor
+    joining the worker (heartbeats still unsent at exit are moot).
     """
     global _CHANNEL
     _CHANNEL = channel
+    if channel is not None:
+        channel.cancel_join_thread()
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms

@@ -41,6 +41,12 @@ class TestRetentionCollapse:
         hot = dram_points["TT@358K"].static_power
         assert hot > 10 * cold
 
+    def test_derating_curve_monotone(self):
+        analysis = PvtAnalysis(retention_samples=300)
+        retentions = [analysis.evaluate(Corner.TT, t).worst_retention
+                      for t in (300.0, 330.0, 358.0)]
+        assert retentions == sorted(retentions, reverse=True)
+
 
 class TestSramVariant:
     def test_sram_static_grows_hot(self):

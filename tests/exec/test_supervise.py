@@ -11,6 +11,8 @@ death.  Worker callables live at module level so they pickle.
 import os
 import pathlib
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -262,6 +264,85 @@ class TestParallelSupervision:
 
 
 # -- retry determinism across checkpoint kill+resume (satellite) -------------
+
+
+#: A sweep in its own interpreter.  Item k1 takes the heartbeat queue's
+#: cross-process write lock and either dies holding it (``die``: the
+#: state a worker SIGKILLed while its feeder thread sends a heartbeat
+#: leaves behind) or returns holding it (``keep``: the lock stays taken
+#: while the pool lives on).  With ``hang`` a later item hangs for good.
+_HEARTBEAT_LOCK_SWEEP = """
+import os, sys, time
+from repro.exec import SupervisionPolicy, run_parallel_sweep, supervise
+
+def square(value):
+    time.sleep(0.05)
+    return value * value
+
+def die_holding_heartbeat_lock(value):
+    supervise._CHANNEL._wlock.acquire()
+    os._exit(9)
+
+def keep_heartbeat_lock(value):
+    supervise._CHANNEL._wlock.acquire()
+    return value * value
+
+def hang(value):
+    time.sleep(60.0)
+
+items = [(f"k{i}", square, (i,)) for i in range(8)]
+if sys.argv[1] == "die":
+    items[1] = ("k1", die_holding_heartbeat_lock, (1,))
+else:
+    items[1] = ("k1", keep_heartbeat_lock, (1,))
+if "hang" in sys.argv:
+    items[6] = ("k6", hang, (6,))
+outcome = run_parallel_sweep(items, jobs=2, chunk_size=1,
+                             policy=SupervisionPolicy(hang_seconds=0.5))
+print(sorted(outcome.results), sorted(outcome.quarantined), flush=True)
+"""
+
+
+class TestTakenHeartbeatLock:
+    """A heartbeat write lock that is never released must neither blind
+    the watchdog of a rebuilt pool nor keep a worker, and so the process
+    that ran the sweep, from exiting."""
+
+    LIMIT_SECONDS = 60.0
+
+    def run_sweep(self, *argv):
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        # Own session: a wedged sweep's workers are killed with it.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _HEARTBEAT_LOCK_SWEEP, *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=self.LIMIT_SECONDS)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            out, err = proc.communicate()
+            pytest.fail(f"sweep still running after {self.LIMIT_SECONDS}s "
+                        f"(stdout {out!r})")
+        assert proc.returncode == 0, err
+        return out
+
+    @staticmethod
+    def keys(*missing):
+        return [f"k{i}" for i in range(8) if i not in missing]
+
+    def test_workers_exit_while_the_lock_is_taken(self):
+        assert self.run_sweep("keep") == f"{self.keys()} []\n"
+
+    def test_process_exits_after_a_worker_dies_holding_it(self):
+        assert self.run_sweep("die") == f"{self.keys(1)} ['k1']\n"
+
+    def test_rebuilt_pool_still_strikes_a_hang(self):
+        assert (self.run_sweep("die", "hang")
+                == f"{self.keys(1, 6)} ['k1', 'k6']\n")
 
 
 class TestRetryDeterminismAcrossResume:
