@@ -14,7 +14,7 @@ Run:  python examples/pvt_and_adaptive_refresh.py
 from repro.core import FastDramDesign, PvtAnalysis, format_table
 from repro.refresh import TemperatureAdaptiveRefresh, plan_binned_refresh
 from repro.tech import Corner
-from repro.units import kb, ns, pJ, si_format, uW
+from repro.units import ns, pJ, si_format, uW
 
 
 def main() -> None:

@@ -11,7 +11,6 @@ from the fixed global circuitry (decoders, global SAs, IO, control).
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict
 
 from repro.array.organization import ArrayOrganization

@@ -10,7 +10,7 @@ for an SRAM alternative (paper Sec. I and refs [1]-[4]).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 

@@ -5,7 +5,7 @@ yield, supply ceiling), the optimiser walks the discrete design grid —
 cells per LBL, word width, supply voltage — prices every feasible
 candidate with the macro models, and returns the best candidate per
 objective plus the Pareto front of the (access time, total power, area)
-space.  This is the tool a system integrator would actually run before
+space.  This is the tool a system designer would actually run before
 adopting the paper's macro.
 """
 

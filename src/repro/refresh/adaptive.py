@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 

@@ -7,9 +7,9 @@ This package stands in for the SPICE box of the paper's methodology flow
 * a nonlinear MOSFET element driven by the :mod:`repro.tech` device
   curves (bidirectional, so pass transistors and charge sharing work),
 * a DC operating-point solver (Newton + gmin stepping),
-* a fixed-step transient engine (backward Euler or trapezoidal) with
-  Newton iteration per step, and a batched twin that marches a stack of
-  same-topology Monte-Carlo circuits through one Newton loop,
+* a fixed-step backward-Euler transient engine with Newton iteration
+  per step, and a batched twin that marches a stack of same-topology
+  Monte-Carlo circuits through one Newton loop,
 * waveform measurements (crossings, delays, swings, source energy).
 
 Every Newton iterate is assembled by a compiled

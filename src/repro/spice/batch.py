@@ -854,21 +854,21 @@ class BatchStampPlan:
 
     # -- per-step / per-iterate API --------------------------------------------
 
-    def begin_run(self, dt: float, integrator: str) -> None:
-        """Stack the per-sample linear bases once per (dt, integrator)."""
+    def begin_run(self, dt: float) -> None:
+        """Stack the per-sample linear bases once per ``dt``."""
         gmin = 1e-12  # noqa: L101 - gmin, siemens
-        key = (dt, integrator, gmin)
+        key = (dt, gmin)
         if self._base_stack_key != key:
             if self._sparse is not None:
                 # Each plan gathers its dense base through the shared
                 # pattern and drops it: no (B, n, n) array exists.
                 self._base_stack = np.stack(
-                    [plan._base(dt, integrator, gmin) for plan in self.plans])
+                    [plan._base(dt, gmin) for plan in self.plans])
             else:
                 # Transposed per sample to match the transposed `_m_dst`
                 # scatter map (see __init__): row b holds base_b.T.
                 self._base_stack = np.stack(
-                    [plan._build_base(dt, integrator, gmin).T
+                    [plan._build_base(dt, gmin).T
                      for plan in self.plans]).copy()
             self._base_stack_key = key
         self._live_rows = None
@@ -914,11 +914,10 @@ class BatchStampPlan:
             self._live_geq = self._geq_stack[rows]
 
     def begin_step(self, rows: np.ndarray, x_hist: np.ndarray, t: float,
-                   dt: float, integrator: str) -> _BatchStep:
+                   dt: float) -> _BatchStep:
         """Precompute one timestep's per-sample linear RHS rows.
 
-        Vectorised transcription of ``StampPlan._point_rhs`` (backward
-        Euler; the trapezoidal path never reaches the batch).  Order is
+        Vectorised transcription of ``StampPlan._point_rhs``.  Order is
         preserved per RHS cell: capacitor companions first (one flat
         add.at), then voltage sources (disjoint branch rows), then
         current sources — exactly the scalar C, V, I sequence.  Shared
@@ -1092,7 +1091,7 @@ def _normalize_initials(initial_voltages: Any, batch: int
 
 
 def _run_batch(plan: BatchStampPlan, t_stop: float, dt: float,
-               initials: List[Optional[Dict[str, float]]], integrator: str,
+               initials: List[Optional[Dict[str, float]]],
                recovery: Optional[RecoveryConfig],
                scalar_run: Callable[[int], Outcome]) -> List[Outcome]:
     """March the stack through every timestep; eject stragglers.
@@ -1119,7 +1118,7 @@ def _run_batch(plan: BatchStampPlan, t_stop: float, dt: float,
     for b in range(batch):
         data[b, 0] = _initial_state(circuits[b], plan.systems[b],
                                     initials[b])
-    plan.begin_run(dt, integrator)
+    plan.begin_run(dt)
     active = np.arange(batch)
     ejected: List[int] = []
     metrics = obs.metrics()
@@ -1135,7 +1134,7 @@ def _run_batch(plan: BatchStampPlan, t_stop: float, dt: float,
     dot_scratch: Dict[int, np.ndarray] = {}
     try:
         with obs.span("spice.batch.transient", circuit=circuits[0].name,
-                      batch=batch, steps=steps, integrator=integrator):
+                      batch=batch, steps=steps):
             for step in range(1, steps + 1):
                 if not active.size:
                     break
@@ -1148,8 +1147,7 @@ def _run_batch(plan: BatchStampPlan, t_stop: float, dt: float,
                 if occupancy is not None:
                     occupancy.sample(float(t), active.size / batch)
                 x_hist = data[active, step - 1, :]
-                ctx = plan.begin_step(active, x_hist, t_point, dt,
-                                      integrator)
+                ctx = plan.begin_step(active, x_hist, t_point, dt)
                 x = x_hist.copy()
                 prev_delta: Optional[np.ndarray] = None
                 damping = np.ones(active.size)
@@ -1309,7 +1307,7 @@ def _run_batch(plan: BatchStampPlan, t_stop: float, dt: float,
 
 def batch_transient_outcomes(
         circuits: Sequence[Circuit], t_stop: float, dt: float,
-        initial_voltages: Any = None, integrator: str = "be",
+        initial_voltages: Any = None,
         recovery: Optional[RecoveryConfig] = None,
         backend: str = "auto") -> List[Outcome]:
     """Simulate a stack of same-topology circuits, one outcome each.
@@ -1319,10 +1317,10 @@ def batch_transient_outcomes(
     :func:`repro.spice.transient.simulate_transient` calls — samples
     the batch cannot carry (and whole stacks it cannot represent) are
     transparently evaluated on the scalar path.  Configuration errors
-    (bad time grid, unknown integrator, unknown backend) raise
-    immediately.  A stack carrying an element type the stamp-plan
-    compiler does not know runs on the scalar path, where each sample
-    fails with the plan's :class:`~repro.errors.ConfigurationError`.
+    (bad time grid, unknown backend) raise immediately.  A stack
+    carrying an element type the stamp-plan compiler does not know runs
+    on the scalar path, where each sample fails with the plan's
+    :class:`~repro.errors.ConfigurationError`.
     Per-sample :class:`repro.errors.ReproError` failures are captured
     in the outcome list; any other exception propagates.
 
@@ -1334,8 +1332,6 @@ def batch_transient_outcomes(
     matches scalar-dense runs.
     """
     _validate_time_grid(t_stop, dt)
-    if integrator not in ("be", "trap"):
-        raise SimulationError(f"unknown integrator {integrator!r}")
     stack = list(circuits)
     if not stack:
         return []
@@ -1345,20 +1341,15 @@ def batch_transient_outcomes(
         try:
             return (True, simulate_transient(
                 stack[b], t_stop, dt, initial_voltages=initials[b],
-                integrator=integrator, recovery=recovery,
-                backend=backend))
+                recovery=recovery, backend=backend))
         except ReproError as exc:
             return (False, exc)
 
     if backend not in ("dense", "sparse", "auto"):
         resolve_backend(backend, 0)  # raises ConfigurationError
-    reason = None
-    if len(stack) == 1:
-        reason = "single sample"
-    elif integrator == "trap":
-        reason = "trapezoidal capacitor history is scalar-only"
     plan = None
-    if reason is None:
+    reason = "single sample"
+    if len(stack) > 1:
         try:
             plan = BatchStampPlan(stack, backend=backend)
         except _BatchUnsupported as exc:
@@ -1367,8 +1358,7 @@ def batch_transient_outcomes(
         obs.metrics().counter("spice.batch.fallback").inc(len(stack))
         obs.event("spice.batch.fallback", samples=len(stack), reason=reason)
         return [scalar_run(b) for b in range(len(stack))]
-    return _run_batch(plan, t_stop, dt, initials, integrator, recovery,
-                      scalar_run)
+    return _run_batch(plan, t_stop, dt, initials, recovery, scalar_run)
 
 
 # -- the Monte-Carlo batching contract -----------------------------------------
@@ -1388,7 +1378,6 @@ class BatchTransientModel:
 
     t_stop: float
     dt: float
-    integrator: str = "be"
     recovery: Optional[RecoveryConfig] = None
     backend: str = "auto"
 
@@ -1409,8 +1398,7 @@ class BatchTransientModel:
         result = simulate_transient(
             self.build(params), self.t_stop, self.dt,
             initial_voltages=self.initial_voltages(params),
-            integrator=self.integrator, recovery=self.recovery,
-            backend=self.backend)
+            recovery=self.recovery, backend=self.backend)
         return self.measure(result, params)
 
 
@@ -1443,7 +1431,7 @@ def eval_model_batch(model: BatchTransientModel,
     if built:
         solved = batch_transient_outcomes(
             circuits, model.t_stop, model.dt, initial_voltages=initials,
-            integrator=model.integrator, recovery=model.recovery,
+            recovery=model.recovery,
             backend=getattr(model, "backend", "auto"))
         for i, (ok, payload) in zip(built, solved):
             if not ok:

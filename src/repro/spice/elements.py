@@ -10,7 +10,7 @@ import bisect
 import math
 from typing import Callable, List, Sequence, Tuple
 
-from repro.errors import ConfigurationError, NetlistError
+from repro.errors import ConfigurationError
 from repro.spice.netlist import CircuitElement
 
 Waveform = Callable[[float], float]

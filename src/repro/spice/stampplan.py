@@ -10,13 +10,12 @@ lookups:
   types and raises :class:`~repro.errors.ConfigurationError` naming any
   other;
 * the linear *matrix* contributions are assembled once per
-  ``(dt, integrator, gmin)`` key and cached — per Newton iterate the
-  base is block-copied, never re-stamped;
-* the linear *RHS* contributions (source waveforms, capacitor history
-  currents) are assembled once per solve point; the capacitor history
-  scatter is vectorised with ``np.add.at`` over precompiled index
-  arrays, and :meth:`StampPlan.capacitor_currents` advances the
-  trapezoidal history as one array in the plan's capacitor order;
+  ``(dt, gmin)`` key and cached — per Newton iterate the base is
+  block-copied, never re-stamped;
+* the linear *RHS* contributions (source waveforms, backward-Euler
+  capacitor history currents) are assembled once per solve point; the
+  capacitor history scatter is vectorised with ``np.add.at`` over
+  precompiled index arrays;
 * nonlinear elements are compiled to per-element *value fillers* with
   node indices resolved to integers once; their matrix/RHS writes
   replay through two ``np.add.at`` scatters over index/sign arrays
@@ -237,7 +236,7 @@ class StampPlan:
         self._xg_pad = np.zeros(self.size + 1)
         self._cap_vals = np.empty(2 * n_caps)
 
-        self._bases: Dict[Tuple[Optional[float], str, float], np.ndarray] = {}
+        self._bases: Dict[Tuple[Optional[float], float], np.ndarray] = {}
 
         # The value array assembly writes, and where the companion
         # scatter and the gmin-stepping diagonal land in it: the dense
@@ -546,22 +545,20 @@ class StampPlan:
 
     # -- linear base -----------------------------------------------------------
 
-    def _base(self, dt: Optional[float], integrator: str,
-              gmin: float) -> np.ndarray:
+    def _base(self, dt: Optional[float], gmin: float) -> np.ndarray:
         """The linear base in value-array layout, cached per key."""
-        key = (dt, integrator, gmin)
+        key = (dt, gmin)
         base = self._bases.get(key)
         if base is None:
             if len(self._bases) >= _MAX_BASES:
                 self._bases.pop(next(iter(self._bases)))
-            base = self._build_base(dt, integrator, gmin).ravel()
+            base = self._build_base(dt, gmin).ravel()
             if self._sparse is not None:
                 base = base[self._sparse.flat]
             self._bases[key] = base
         return base
 
-    def _build_base(self, dt: Optional[float], integrator: str,
-                    gmin: float) -> np.ndarray:
+    def _build_base(self, dt: Optional[float], gmin: float) -> np.ndarray:
         """Sequentially stamp the linear matrix part, in canonical order.
 
         Built once per key then block-copied per iterate, so the Python
@@ -572,13 +569,7 @@ class StampPlan:
         for ia, ib, g in self._resistors:
             _add_conductance(m, ia, ib, g)
         for ia, ib, c in self._cap_entries:
-            if dt is None:
-                g = gmin
-            elif integrator == "trap":
-                g = 2.0 * c / dt
-            else:
-                g = c / dt
-            _add_conductance(m, ia, ib, g)
+            _add_conductance(m, ia, ib, gmin if dt is None else c / dt)
         for _element, br, ip, in_ in self._vsources:
             if ip >= 0:
                 m[ip, br] += 1.0
@@ -594,20 +585,12 @@ class StampPlan:
         xg[:-1] = x
         return xg[self._cap_ia] - xg[self._cap_ib]
 
-    def _point_rhs(self, t: float, dt: Optional[float], integrator: str,
-                   source_scale: float,
-                   x_history: Optional[np.ndarray],
-                   cap_state: Optional[np.ndarray]) -> np.ndarray:
+    def _point_rhs(self, t: float, dt: Optional[float], source_scale: float,
+                   x_history: Optional[np.ndarray]) -> np.ndarray:
         """Linear RHS of one solve point (canonical order: C, V, I)."""
         rhs = np.zeros(self.size + 1)  # final slot absorbs ground writes
         if dt is not None and len(self._cap_c):
-            v_prev = self._cap_voltages(x_history)
-            if integrator == "trap":
-                geq = 2.0 * self._cap_c / dt
-                ieq = geq * v_prev + cap_state
-            else:
-                geq = self._cap_c / dt
-                ieq = geq * v_prev
+            ieq = self._cap_c / dt * self._cap_voltages(x_history)
             vals = self._cap_vals
             vals[0::2] = -ieq
             vals[1::2] = ieq
@@ -626,20 +609,17 @@ class StampPlan:
     # -- the per-point / per-iterate API --------------------------------------
 
     def begin_point(self, *, t: float, dt: Optional[float] = None,
-                    integrator: str = "be",
-                    cap_state: Optional[np.ndarray] = None,
                     x_history: Optional[np.ndarray] = None,
                     gmin: float = 1e-12, extra_gmin: float = 0.0,
                     source_scale: float = 1.0) -> _SolvePoint:
         """Precompute everything fixed across one point's Newton iterates.
 
-        ``cap_state`` is the trapezoidal history (see
-        :meth:`capacitor_currents`); backward Euler and DC read none.
+        ``dt`` is ``None`` for a DC point; a transient point reads the
+        capacitor voltages of ``x_history``, the last accepted solution.
         """
         return _SolvePoint(
-            base=self._base(dt, integrator, gmin),
-            rhs_point=self._point_rhs(t, dt, integrator, source_scale,
-                                      x_history, cap_state),
+            base=self._base(dt, gmin),
+            rhs_point=self._point_rhs(t, dt, source_scale, x_history),
             gmin=gmin, extra_gmin=extra_gmin)
 
     def _assemble(self, point: _SolvePoint,
@@ -675,21 +655,6 @@ class StampPlan:
         except np.linalg.LinAlgError as exc:
             raise self.system.singular_error() from exc
         return linalg.lu_backsolve(factors, rhs)
-
-    def capacitor_currents(self, x_new: np.ndarray, x_prev: np.ndarray,
-                           dt: float, integrator: str,
-                           cap_state: Optional[np.ndarray] = None
-                           ) -> np.ndarray:
-        """Every capacitor's current a -> b over a step ``x_prev -> x_new``.
-
-        The trapezoidal history the next point's :meth:`begin_point`
-        reads, in the plan's capacitor order; ``cap_state`` is the
-        history of the step itself (trapezoidal only).
-        """
-        dv = self._cap_voltages(x_new) - self._cap_voltages(x_prev)
-        if integrator == "trap":
-            return 2.0 * self._cap_c / dt * dv - cap_state
-        return self._cap_c / dt * dv
 
 
 def _pattern_couple(pattern: set, ia: int, ib: int, size: int) -> None:

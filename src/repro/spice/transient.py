@@ -4,9 +4,10 @@ Each time point is solved with damped Newton iteration over the
 companion models of all elements, assembled by a compiled
 :class:`~repro.spice.stampplan.StampPlan`.  Linear circuits converge in a
 single iteration; the MOSFET and switch elements make it genuinely
-nonlinear.  Backward Euler is the default (L-stable, forgiving);
-trapezoidal integration is available when waveform energy accuracy
-matters more than start-up transients.
+nonlinear.  Integration is backward Euler only.  It is L-stable, so an
+arbitrary initial condition needs no start-up step, and at each
+workload's fixed grid it has converged on the node voltages the
+workload reports (``tests/spice/test_timestep_convergence.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -103,16 +104,13 @@ class TransientResult:
 
 def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
                        initial_voltages: Optional[Dict[str, float]] = None,
-                       integrator: str = "be",
                        recovery: Optional[RecoveryConfig] = None,
                        backend: str = "auto") -> TransientResult:
     """Simulate ``circuit`` from 0 to ``t_stop`` with fixed step ``dt``.
 
     ``initial_voltages`` pins the t=0 node voltages (unlisted nodes start
-    at 0 V); capacitors with an ``initial_voltage`` override the implied
-    difference across themselves by adjusting nothing — their companion
-    history simply starts from the node values, so set the *node*
-    voltages to express initial charge.
+    at 0 V); a capacitor's ``initial_voltage`` then sets its ``node_a``
+    relative to ``node_b``, unless ``initial_voltages`` pins ``node_a``.
 
     ``recovery`` tunes the escalation ladder walked when a time point
     fails to converge (see :mod:`repro.spice.recovery`).
@@ -128,8 +126,6 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
     point, including t=0.
     """
     _validate_time_grid(t_stop, dt)
-    if integrator not in ("be", "trap"):
-        raise SimulationError(f"unknown integrator {integrator!r}")
     if recovery is None:
         recovery = DEFAULT_RECOVERY
     steps = int(round(t_stop / dt))
@@ -140,17 +136,12 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
     plan = StampPlan(system, backend=backend)
 
     x = _initial_state(circuit, system, initial_voltages)
-    # Trapezoidal history: every capacitor's current at the last
-    # accepted point, in the plan's capacitor order.  Backward Euler
-    # carries none; trapezoidal starts it after its first step.
-    cap_state: Optional[np.ndarray] = None
 
     times = np.linspace(0.0, steps * dt, steps + 1)
     data = np.empty((steps + 1, system.size))
     data[0] = x
 
-    _log.debug("transient %r: %d steps of %gs (%s)",
-               circuit.name, steps, dt, integrator)
+    _log.debug("transient %r: %d steps of %gs", circuit.name, steps, dt)
     # Hoisted once per run: the disabled path pays a single None check
     # per accepted step, never a sampler call.
     if obs.is_enabled():
@@ -159,31 +150,21 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
     else:
         iter_series = dt_series = None
     with obs.span("spice.transient", circuit=circuit.name, steps=steps,
-                  integrator=integrator, backend=plan.backend):
+                  backend=plan.backend):
         for step in range(1, steps + 1):
             # Cooperative deadline check: a supervised sample whose
             # transient runs past its budget raises DeadlineExceeded
             # here instead of waiting for the parent's hard kill.
             _supervision_tick()
             t = times[step]
-            x_prev = data[step - 1]
-            # Trapezoidal needs a consistent capacitor-current history,
-            # which an arbitrary initial condition does not provide; the
-            # standard remedy is one backward-Euler step to damp the
-            # inconsistency.
-            step_integrator = "be" if (integrator == "trap" and step == 1) \
-                else integrator
             meter = _NewtonMeter()
-            x, cap_state = _solve_step_with_recovery(
-                plan, x_prev, t - dt, dt, step_integrator, cap_state,
-                recovery, meter)
+            x = _solve_step_with_recovery(plan, data[step - 1], t - dt, dt,
+                                          recovery, meter)
             obs.metrics().histogram("spice.newton.iterations",
                                     _NEWTON_BUCKETS).observe(meter.iterations)
             if iter_series is not None:
                 iter_series.sample(t, meter.iterations)
                 dt_series.sample(t, dt / meter.substeps)
-            if integrator == "trap" and step == 1:
-                cap_state = plan.capacitor_currents(x, x_prev, dt, "be")
             data[step] = x
         obs.metrics().counter("spice.timesteps").inc(steps)
 
@@ -245,40 +226,27 @@ def _validate_time_grid(t_stop: float, dt: float) -> None:
 
 
 def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
-                              t_start: float, dt: float, integrator: str,
-                              cap_state: Optional[np.ndarray],
+                              t_start: float, dt: float,
                               config: RecoveryConfig,
-                              meter: _NewtonMeter
-                              ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+                              meter: _NewtonMeter) -> np.ndarray:
     """Advance one output step, escalating through the recovery ladder.
 
     Rung order is fixed (see :mod:`repro.spice.recovery`): plain Newton,
     stronger damping, local time-step halving, gmin stepping, source
-    stepping.  Returns the solution and the trapezoidal history after
-    it.  Each damping or substep attempt starts from ``cap_state`` and
-    advances its own copy per successful substep; the gmin and source
-    stages solve the full step on ``cap_state`` too, and a rescued step
-    advances it once, over the whole step.
+    stepping.  Returns the solution at ``t_start + dt``.
     """
     circuit = plan.system.circuit
     report = RecoveryReport(circuit=circuit.name, time=t_start + dt)
-    state = cap_state
 
     def run_substeps(substeps: int, **solve_kwargs) -> np.ndarray:
-        nonlocal state
         meter.substeps = substeps
-        state = cap_state
         x = x_start
         sub_dt = dt / substeps
         for sub in range(1, substeps + 1):
             t_sub = t_start + sub * sub_dt
-            x_new = _solve_point(plan, x, t_sub, sub_dt, integrator, state,
-                                 max_newton=config.max_newton, meter=meter,
-                                 **solve_kwargs)
-            if integrator == "trap":
-                state = plan.capacitor_currents(x_new, x, sub_dt,
-                                                integrator, state)
-            x = x_new
+            x = _solve_point(plan, x, t_sub, sub_dt,
+                             max_newton=config.max_newton, meter=meter,
+                             **solve_kwargs)
         return x
 
     last_error: ConvergenceError | None = None
@@ -302,29 +270,24 @@ def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
         """Walk one stepping ladder over the full step; None as soon as
         a stage fails.  Each ``(value, detail)`` stage solves with
         ``keyword=value``, warm-started from the previous stage."""
-        nonlocal state
         meter.substeps = 1  # ladder stages solve the full step
         x = x_start
         for value, detail in stages:
             try:
-                x = _solve_point(plan, x, t_start + dt, dt, integrator,
-                                 cap_state, max_newton=config.max_newton,
+                x = _solve_point(plan, x, t_start + dt, dt,
+                                 max_newton=config.max_newton,
                                  x_history=x_start, meter=meter,
                                  **{keyword: value})
             except ConvergenceError:
                 report.record(rung, detail, converged=False)
                 return None
             report.record(rung, detail, converged=True)
-        state = cap_state
-        if integrator == "trap":
-            state = plan.capacitor_currents(x, x_start, dt, integrator,
-                                            cap_state)
         return x
 
     # Rung 0: plain Newton over the full step.
     x = attempt("newton", "plain")
     if x is not None:
-        return x, state
+        return x
 
     # Rung 1: much stronger damping from the first iteration.
     if config.enable_damping:
@@ -333,7 +296,7 @@ def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
                         initial_damping=factor)
             if x is not None:
                 note_recovery_success(report)
-                return x, state
+                return x
 
     # Rung 2: local time-step halving with bounded retries.  Stiff
     # regeneration regions (latch sense amplifiers firing) recover here
@@ -345,7 +308,7 @@ def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
                         substeps=2 ** halving)
             if x is not None:
                 note_recovery_success(report)
-                return x, state
+                return x
         obs.metrics().counter("spice.refinement_exhausted").inc()
 
     # Rung 3: gmin stepping — a strong leak to ground everywhere makes
@@ -355,7 +318,7 @@ def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
                  [(gmin, f"gmin={gmin:g}") for gmin in config.gmin_ladder])
         if x is not None:
             note_recovery_success(report)
-            return x, state
+            return x
 
     # Rung 4: source stepping — ramp all independent sources from a
     # solvable fraction up to 100 %, warm-starting each stage.
@@ -365,7 +328,7 @@ def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
                   for alpha in config.source_ladder])
         if x is not None:
             note_recovery_success(report)
-            return x, state
+            return x
 
     obs.metrics().counter("spice.recovery.exhausted").inc()
     obs.event("spice.recovery.exhausted", circuit=circuit.name,
@@ -386,8 +349,7 @@ def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
 
 
 def _solve_point(plan: StampPlan, x_prev: np.ndarray, t: float, dt: float,
-                 integrator: str, cap_state: Optional[np.ndarray], *,
-                 max_newton: "int | None" = None,
+                 *, max_newton: "int | None" = None,
                  initial_damping: float = 1.0,
                  extra_gmin: float = 0.0,
                  source_scale: float = 1.0,
@@ -414,8 +376,7 @@ def _solve_point(plan: StampPlan, x_prev: np.ndarray, t: float, dt: float,
     v_delta = None
     budget = _MAX_NEWTON if max_newton is None else max_newton
     point = plan.begin_point(
-        t=t, dt=dt, integrator=integrator, cap_state=cap_state,
-        x_history=x_history, gmin=1e-12, extra_gmin=extra_gmin,
+        t=t, dt=dt, x_history=x_history, gmin=1e-12, extra_gmin=extra_gmin,
         source_scale=source_scale)
     for iteration in range(1, budget + 1):
         x_new = plan.solve_iterate(point, x)

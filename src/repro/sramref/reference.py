@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import CalibrationError
-from repro.units import GHz, MHz, kb, ns, pJ
+from repro.units import MHz, kb, ns, pJ
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,7 +8,7 @@ first level and regular-density DRAM as second level, connected by TSVs.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.array.macro import MacroDesign
 from repro.core.fastdram import FastDramDesign

@@ -2,10 +2,6 @@
 
 import dataclasses
 
-import pytest
-
-from repro.array import Floorplan
-
 
 class TestDedicatedPeriphery:
     def test_shrinks_dram_macro(self, dram_macro_128kb):

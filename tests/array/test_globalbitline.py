@@ -1,6 +1,5 @@
 """The hierarchical-bitline workload: topology, sensing, scaling."""
 
-import numpy as np
 import pytest
 
 from repro.array import (build_globalbitline_read_circuit,

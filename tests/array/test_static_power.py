@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.array.static_power import StaticPowerModel
 from repro.errors import ConfigurationError
 
 

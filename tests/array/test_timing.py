@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.units import kb, Mb, ns, ps
+from repro.units import ns, ps
 
 
 class TestAccessBreakdown:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cells import Dram1t1cCell, StorageKind
 from repro.errors import ConfigurationError
-from repro.tech import CapacitorKind, TechnologyNode
+from repro.tech import CapacitorKind
 from repro.units import fF, um2, V
 
 

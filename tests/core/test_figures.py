@@ -15,13 +15,13 @@ class TestAsciiChart:
 
     def test_dimensions(self):
         chart = ascii_chart({"a": [1, 2]}, [0, 1], width=30, height=8)
-        body = [l for l in chart.splitlines() if l.startswith("|")]
+        body = [line for line in chart.splitlines() if line.startswith("|")]
         assert len(body) == 8
         assert all(len(line) <= 31 for line in body)
 
     def test_extremes_hit_borders(self):
         chart = ascii_chart({"a": [0.0, 10.0]}, [0, 1], width=20, height=6)
-        body = [l for l in chart.splitlines() if l.startswith("|")]
+        body = [line for line in chart.splitlines() if line.startswith("|")]
         assert "*" in body[0]    # max at the top row
         assert "*" in body[-1]   # min at the bottom row
 
@@ -31,7 +31,7 @@ class TestAsciiChart:
 
     def test_log_axis(self):
         chart = ascii_chart({"a": [1, 10, 100]}, [1, 2, 3], log_y=True)
-        body = [l for l in chart.splitlines() if l.startswith("|")]
+        body = [line for line in chart.splitlines() if line.startswith("|")]
         rows = [i for i, line in enumerate(body) if "*" in line]
         # Log spacing: equidistant rows.
         assert rows[1] - rows[0] == pytest.approx(rows[2] - rows[1], abs=1)

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cells import Dram1t1cCell
 from repro.errors import ConfigurationError
 from repro.faults import (FaultPlan, RefreshFault, SenseAmpOutlier,
                           StuckBit, WeakCell, generate_fault_plan)
-from repro.tech import TechnologyNode
 
 
 def make_plan(seed: int = 7, **kwargs) -> FaultPlan:

@@ -5,8 +5,6 @@ protects against, checking both the exception type and that the message
 carries the domain context a user needs.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -100,7 +98,7 @@ class TestSpiceGuards:
         # The loop may or may not converge depending on damping; both
         # outcomes are acceptable, but it must never hang.
         try:
-            _solve_point(StampPlan(system), x, 0.0, 1e-12, "be", None)
+            _solve_point(StampPlan(system), x, 0.0, 1e-12)
         except ConvergenceError as exc:
             assert "stubborn" in str(exc)
 

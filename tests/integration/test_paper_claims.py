@@ -7,14 +7,14 @@ full public API the way a reader checking the paper would.
 import numpy as np
 import pytest
 
-from repro import FastDramDesign, SramBaselineDesign
+from repro import FastDramDesign
 from repro.refresh import (
     LocalizedRefresh,
     MonoblockRefresh,
     RefreshSimulator,
     uniform_random_trace,
 )
-from repro.units import kb, Mb, ns, pJ
+from repro.units import kb, ns, pJ
 
 
 class TestAbstract:

@@ -5,8 +5,6 @@ voltage dividers divide, charge is conserved, energy is non-negative
 into passive networks.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,9 +1,6 @@
 """Property-based tests of units, statistics and report helpers."""
 
-import math
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -90,9 +90,8 @@ class Assembly:
 class StampContext:
     """Everything an element reads while stamping one Newton iterate.
 
-    ``x_prev`` is the solution at the previous accepted time point,
-    ``dt`` is ``None`` for a DC solve, and ``cap_state`` maps capacitor
-    names to their trapezoidal branch currents at the previous point.
+    ``x_prev`` is the solution at the previous accepted time point and
+    ``dt`` is ``None`` for a DC solve.
     """
 
     system: Assembly
@@ -100,8 +99,6 @@ class StampContext:
     x_prev: Optional[np.ndarray] = None
     dt: Optional[float] = None
     time: float = 0.0
-    integrator: str = "be"
-    cap_state: Optional[Dict[str, float]] = None
     gmin: float = 1e-12
     source_scale: float = 1.0
 
@@ -130,13 +127,9 @@ def _stamp_capacitor(el: Capacitor, ctx: StampContext) -> None:
     v_prev = ctx.voltage(el.node_a, previous=True) - ctx.voltage(
         el.node_b, previous=True
     )
-    if ctx.integrator == "trap":
-        geq = 2.0 * el.capacitance / ctx.dt
-        i_prev = 0.0 if ctx.cap_state is None else ctx.cap_state.get(el.name, 0.0)
-        ieq = geq * v_prev + i_prev
-    else:  # backward Euler
-        geq = el.capacitance / ctx.dt
-        ieq = geq * v_prev
+    # Backward-Euler companion: conductance C/dt with its history current.
+    geq = el.capacitance / ctx.dt
+    ieq = geq * v_prev
     ctx.system.stamp_conductance(el.node_a, el.node_b, geq)
     # History current flows b -> a (it opposes discharging).
     ctx.system.stamp_current(el.node_b, el.node_a, ieq)
@@ -202,26 +195,6 @@ def stamp(element, ctx: StampContext) -> None:
     _STAMPS[type(element)](element, ctx)
 
 
-def branch_current(el: Capacitor, ctx: StampContext, x_new) -> float:
-    """Current a -> b of ``el`` at the accepted solution ``x_new``."""
-    if ctx.dt is None:
-        return 0.0
-    index = ctx.system.system.index
-
-    def v(vector, node):
-        idx = index(node)
-        return 0.0 if idx < 0 else float(vector[idx])
-
-    v_new = v(x_new, el.node_a) - v(x_new, el.node_b)
-    v_prev = ctx.voltage(el.node_a, previous=True) - ctx.voltage(
-        el.node_b, previous=True
-    )
-    if ctx.integrator == "trap":
-        i_prev = 0.0 if ctx.cap_state is None else ctx.cap_state.get(el.name, 0.0)
-        return 2.0 * el.capacitance / ctx.dt * (v_new - v_prev) - i_prev
-    return el.capacitance / ctx.dt * (v_new - v_prev)
-
-
 # -- the plan interface ----------------------------------------------------
 
 
@@ -244,24 +217,13 @@ class OraclePlan:
         self.system = system
         self.backend = resolve_backend(backend, system.size)
         self.order = stamping_order(system.circuit)
-        self.capacitors = [el for el in self.order if type(el) is Capacitor]
-
-    def _cap_state(self, cap_state) -> Optional[Dict[str, float]]:
-        """The plan's capacitor-order array as a name-keyed dict."""
-        if cap_state is None:
-            return None
-        return {cap.name: float(i) for cap, i
-                in zip(self.capacitors, cap_state)}
 
     def begin_point(self, *, t: float, dt: Optional[float] = None,
-                    integrator: str = "be", cap_state=None,
                     x_history: Optional[np.ndarray] = None,
                     gmin: float = 1e-12, extra_gmin: float = 0.0,
                     source_scale: float = 1.0) -> _Point:
         ctx = StampContext(system=None, x=None, x_prev=x_history, dt=dt,
-                           time=t, integrator=integrator,
-                           cap_state=self._cap_state(cap_state), gmin=gmin,
-                           source_scale=source_scale)
+                           time=t, gmin=gmin, source_scale=source_scale)
         return _Point(ctx, extra_gmin)
 
     def assemble(self, point: _Point, x: np.ndarray) -> Assembly:
@@ -281,15 +243,6 @@ class OraclePlan:
             return linalg.lu_solve_dense(assembly.matrix, assembly.rhs)
         except np.linalg.LinAlgError as exc:
             raise self.system.singular_error() from exc
-
-    def capacitor_currents(self, x_new: np.ndarray, x_prev: np.ndarray,
-                           dt: float, integrator: str,
-                           cap_state=None) -> np.ndarray:
-        ctx = StampContext(system=Assembly(self.system), x=x_new,
-                           x_prev=x_prev, dt=dt, integrator=integrator,
-                           cap_state=self._cap_state(cap_state))
-        return np.array([branch_current(cap, ctx, x_new)
-                         for cap in self.capacitors])
 
 
 @contextlib.contextmanager

@@ -154,18 +154,6 @@ class TestFallbacks:
         assert registry.counter("spice.batch.batches").value == 0
         _assert_outcomes_identical(batched, _serial_outcomes(circuits))
 
-    def test_trap_integrator_falls_back(self):
-        circuits = _stack(3, seed=2)
-        with obs.instrumented() as registry:
-            batched = batch_transient_outcomes(circuits, T_STOP, DT,
-                                               integrator="trap")
-        assert registry.counter("spice.batch.fallback").value == 3
-        for circuit, (ok, result) in zip(circuits, batched):
-            assert ok
-            reference = simulate_transient(circuit, T_STOP, DT,
-                                           integrator="trap")
-            assert np.array_equal(result.data, reference.data)
-
     def test_mixed_topology_falls_back(self):
         circuits = _stack(2, seed=2)
         other = Circuit("stack")
@@ -189,11 +177,6 @@ class TestFallbacks:
 
     def test_empty_stack(self):
         assert batch_transient_outcomes([], T_STOP, DT) == []
-
-    def test_bad_integrator_raises(self):
-        with pytest.raises(SimulationError):
-            batch_transient_outcomes(_stack(2, seed=0), T_STOP, DT,
-                                     integrator="rk4")
 
 
 class _DividerModel(BatchTransientModel):

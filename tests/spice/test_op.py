@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.spice import (
     Circuit,
     CurrentSource,

@@ -19,7 +19,7 @@ import pytest
 from repro import obs
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.spice import (Capacitor, Circuit, Diode, Resistor, VoltageSource,
-                         dc, pulse, simulate_transient, solve_dc)
+                         dc, simulate_transient, solve_dc)
 from repro.spice.recovery import (RUNGS, RecoveryConfig, RecoveryReport)
 
 #: Dense gmin ladder (ratio ~2 per stage) so every stage's warm start
@@ -161,50 +161,6 @@ class TestTransientRungs:
         counters = self.run(supply=5.0, max_newton=8)
         assert counters.get("spice.recovery.source", 0) >= 1
         assert "spice.recovery.exhausted" not in counters
-
-
-class TestTrapezoidalRescue:
-    """A step rescued by a stepping ladder hands on the trapezoidal
-    history of the point it accepted."""
-
-    def test_rescued_step_history_matches_its_point(self, monkeypatch):
-        from repro.spice import transient
-
-        steps, rescues = [], []
-        solve_step = transient._solve_step_with_recovery
-
-        def recording(plan, x_start, t_start, dt, integrator, cap_state,
-                      config, meter):
-            x, history = solve_step(plan, x_start, t_start, dt, integrator,
-                                    cap_state, config, meter)
-            steps.append((plan, x_start, x, dt, integrator, cap_state,
-                          history))
-            return x, history
-
-        monkeypatch.setattr(transient, "_solve_step_with_recovery",
-                            recording)
-        monkeypatch.setattr(transient, "note_recovery_success",
-                            lambda report: rescues.append(
-                                (report.time, report.rungs_tried())))
-        circuit = Circuit("rc-diode")
-        circuit.add(VoltageSource("v1", "in", "0",
-                                  pulse(0.0, 5.0, 0.15e-9, 1e-12, 1e-9)))
-        circuit.add(Resistor("r1", "in", "d", 100.0))
-        circuit.add(Diode("d1", "d", "0"))
-        circuit.add(Capacitor("cd", "d", "0", 1e-12))
-        simulate_transient(circuit, t_stop=5e-10, dt=1e-10,
-                           integrator="trap",
-                           recovery=RecoveryConfig(max_newton=8))
-        # Step 2 (to 0.2 ns) is the only rescue, by source stepping.
-        assert [(round(t * 1e10), rungs[-1]) for t, rungs in rescues] == [
-            (2, "source")]
-        assert [integrator for *_, integrator, _c, _h in steps] == (
-            ["be"] + ["trap"] * 4)
-        for plan, x_start, x, dt, integrator, cap_state, history in (
-                steps[1:]):
-            expected = plan.capacitor_currents(x, x_start, dt, integrator,
-                                               cap_state)
-            assert history.tobytes() == expected.tobytes()
 
 
 class TestDcRecovery:

@@ -32,6 +32,7 @@ from repro.spice import (
     VoltageSource,
     dc,
     eval_model_batch,
+    pulse,
     simulate_transient,
     solve_dc,
     stamping_order,
@@ -98,6 +99,23 @@ class TestTransientBitIdentity:
         fast, oracle = both_paths(circuit, initial)
         assert same_bits(fast, oracle)
 
+    def test_capacitor_terminal_layouts_are_bit_identical(self):
+        """Capacitor history currents with ground on either terminal and
+        on neither (the local block grounds only ``node_b``)."""
+        circuit = Circuit("c-bridge")
+        circuit.add(VoltageSource("v1", "a", "0",
+                                  pulse(0.0, 1.0, 10 * ps, 5 * ps, 1 * ns)))
+        circuit.add(Resistor("r1", "a", "b", 1e3))
+        circuit.add(Resistor("r2", "b", "0", 1e3))
+        for name, node_a, node_b, farads in (("c1", "a", "0", 1e-15),
+                                             ("c2", "0", "b", 2e-15),
+                                             ("c3", "a", "b", 3e-15)):
+            circuit.add(Capacitor(name, node_a, node_b, farads))
+        fast, oracle = on_plan_and_oracle(
+            simulate_transient, circuit, t_stop=50 * ps, dt=_DT)
+        assert same_bits(fast, oracle)
+        assert fast.voltage("b")[-1] > 0.0  # the bridge actually moved
+
     def test_stiff_diode_under_gmin_ladder_is_bit_identical(self):
         """The recovery ladder escalates to gmin stepping — the exact
         path that rewrites the linear system mid-solve."""
@@ -129,9 +147,7 @@ class TestTransientBitIdentity:
         assert fast == oracle
         assert fast[-1][0] == "substep"
 
-    @pytest.mark.parametrize("integrator", ["be", "trap"])
-    def test_every_ladder_rung_is_bit_identical(self, monkeypatch,
-                                                integrator):
+    def test_every_ladder_rung_is_bit_identical(self, monkeypatch):
         """A starved Newton budget on a hard diode walks damping,
         substeps and gmin stepping before source stepping converges."""
         from repro.spice import transient
@@ -146,21 +162,9 @@ class TestTransientBitIdentity:
         circuit.add(Capacitor("cd", "d", "0", 1e-12))
         fast, oracle = on_plan_and_oracle(
             simulate_transient, circuit, t_stop=5e-10, dt=1e-10,
-            integrator=integrator, recovery=RecoveryConfig(max_newton=8))
+            recovery=RecoveryConfig(max_newton=8))
         assert RUNGS in walks
         assert walks[:len(walks) // 2] == walks[len(walks) // 2:]
-        assert same_bits(fast, oracle)
-
-    def test_trapezoidal_integrator_is_bit_identical(self):
-        fast, oracle = on_plan_and_oracle(
-            simulate_transient, stiff_diode_circuit(v_t=0.05), t_stop=1e-9,
-            dt=1e-11, initial_voltages={"in": 5.0}, integrator="trap")
-        assert same_bits(fast, oracle)
-
-    def test_trapezoidal_localblock_is_bit_identical(self):
-        """Trapezoidal history over a circuit with many capacitors,
-        some of them grounded on either terminal."""
-        fast, oracle = both_paths(*localblock_circuit(), integrator="trap")
         assert same_bits(fast, oracle)
 
 
@@ -234,43 +238,6 @@ class TestCompiledDevices:
         switch = Switch("s1", "a", "b", "p", "n")
         assert_assembly_matches_oracle(
             switch, ((0.0, 0.7), (0.0, 0.7), _GRID, _GRID))
-
-
-class TestCapacitorHistory:
-    @pytest.mark.parametrize("integrator", ["be", "trap"])
-    def test_currents_match_oracle(self, integrator):
-        """One vectorised call equals the per-capacitor branch currents
-        of the oracle, bit for bit, with ground on either terminal."""
-        circuit = Circuit("c-bridge")
-        circuit.add(VoltageSource("v1", "a", "0", dc(1.0)))
-        circuit.add(Resistor("r1", "a", "b", 1e3))
-        circuit.add(Resistor("r2", "b", "0", 1e3))
-        for name, node_a, node_b, farads in (("c1", "a", "0", 1e-15),
-                                             ("c2", "0", "b", 2e-15),
-                                             ("c3", "a", "b", 3e-15)):
-            circuit.add(Capacitor(name, node_a, node_b, farads))
-        system = MnaSystem(circuit)
-        plan, oracle = StampPlan(system), OraclePlan(system)
-        rng = np.random.default_rng(5)
-        x_prev, x_new = rng.uniform(-0.2, 1.4, (2, system.size))
-        state = rng.normal(0.0, 1e-4, len(oracle.capacitors))
-        fast = plan.capacitor_currents(x_new, x_prev, 1 * ps, integrator,
-                                       state)
-        reference = oracle.capacitor_currents(x_new, x_prev, 1 * ps,
-                                              integrator, state)
-        assert fast.tobytes() == reference.tobytes()
-
-    def test_only_trapezoidal_runs_carry_history(self, monkeypatch):
-        """Backward Euler never computes capacitor currents; a
-        trapezoidal run computes them once per accepted step."""
-        calls = count_calls(monkeypatch, StampPlan, "capacitor_currents")
-        circuit, initial = localblock_circuit()
-        simulate_transient(circuit, t_stop=20 * ps, dt=_DT,
-                           initial_voltages=initial)
-        assert calls[0] == 0
-        simulate_transient(circuit, t_stop=20 * ps, dt=_DT,
-                           initial_voltages=initial, integrator="trap")
-        assert calls[0] == 20
 
 
 class _PythonDiode(Diode):

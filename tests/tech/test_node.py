@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.tech import Polarity, TechnologyNode, TransistorParams, VtFlavor
+from repro.tech import Polarity, TransistorParams, VtFlavor
 from repro.units import nm, um
 
 

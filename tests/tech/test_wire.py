@@ -50,8 +50,8 @@ class TestWire:
         assert delay == pytest.approx(lumped, rel=0.01)
 
     def test_elmore_monotone_in_length(self):
-        delays = [Wire(LOCAL_LAYER, l * um).elmore_delay(1e3, 1 * fF)
-                  for l in (10, 50, 100, 500)]
+        delays = [Wire(LOCAL_LAYER, length * um).elmore_delay(1e3, 1 * fF)
+                  for length in (10, 50, 100, 500)]
         assert all(b > a for a, b in zip(delays, delays[1:]))
 
     def test_elmore_rejects_negative_driver(self):

@@ -15,23 +15,24 @@ from repro.variability import (
 )
 
 
+def _standard_normal(rng):
+    return float(rng.normal(0.0, 1.0))
+
+
 class TestEngine:
     def test_reproducible_with_seed(self):
-        model = lambda rng: float(rng.normal(0.0, 1.0))
-        a = run_monte_carlo(model, count=50, seed=7)
-        b = run_monte_carlo(model, count=50, seed=7)
+        a = run_monte_carlo(_standard_normal, count=50, seed=7)
+        b = run_monte_carlo(_standard_normal, count=50, seed=7)
         assert np.array_equal(a.samples, b.samples)
 
     def test_different_seeds_differ(self):
-        model = lambda rng: float(rng.normal(0.0, 1.0))
-        a = run_monte_carlo(model, count=50, seed=7)
-        b = run_monte_carlo(model, count=50, seed=8)
+        a = run_monte_carlo(_standard_normal, count=50, seed=7)
+        b = run_monte_carlo(_standard_normal, count=50, seed=8)
         assert not np.array_equal(a.samples, b.samples)
 
     def test_streams_independent(self):
         """Each evaluation gets its own stream: samples are not equal."""
-        model = lambda rng: float(rng.normal(0.0, 1.0))
-        result = run_monte_carlo(model, count=100, seed=0)
+        result = run_monte_carlo(_standard_normal, count=100, seed=0)
         assert len(np.unique(result.samples)) == 100
 
     def test_rejects_tiny_count(self):
