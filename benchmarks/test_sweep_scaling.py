@@ -10,17 +10,25 @@ evaluated at ``jobs`` = 1, 2 and 4.  Two properties are checked:
   >= 4 (the CI perf-smoke runners do); a machine with too few CPUs
   records the numbers without failing on physics it cannot express.
 
+One untimed warm-up run per job count comes first, then ``ROUNDS``
+rounds each time serial and every parallel job count back to back.
+A speedup is the *median* over rounds of the in-round ratio, as in
+``test_solver_throughput.py``: a host whose speed drifts by up to 2x
+within a minute moves the legs of one round together, so the ratio of
+adjacent legs keeps the executor's scaling and loses most of the
+drift that a single serial-then-parallel timing reads as scaling.
+
 The jobs=2 floor is set from 16 runs of this benchmark on a shared
 2-CPU host, where jobs=2 ran 1.16x-2.30x faster than serial (median
 1.86x); ten alternating warm serial/jobs=2 pairs there read 0.94x-1.65x
-(median 1.14x), because the host's speed drifts by up to 2x between
-legs.  The floor catches an executor that stops overlapping work, not
-a few percent of lost scaling.
+(median 1.14x).  The floor catches an executor that stops overlapping
+work, not a few percent of lost scaling.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -35,6 +43,7 @@ SEED = 2009
 MIN_SPEEDUP_J2 = 1.1
 MIN_SPEEDUP_J4 = 1.8
 JOB_COUNTS = (1, 2, 4)
+ROUNDS = 5
 
 
 def mc_model(rng):
@@ -50,23 +59,37 @@ def mc_model(rng):
     return float(result.final_voltage("mid"))
 
 
+def _timed_run(jobs):
+    """One sweep at ``jobs``; returns (seconds, sample vector)."""
+    start = time.perf_counter()
+    outcome = run_monte_carlo_resumable(mc_model, SAMPLES, seed=SEED,
+                                        jobs=jobs)
+    elapsed = time.perf_counter() - start
+    assert outcome.complete and outcome.failed == 0
+    return elapsed, outcome.result.samples
+
+
 def test_parallel_sweep_scaling_and_determinism():
     cpu_count = os.cpu_count() or 1
-    wall, samples = {}, {}
-    for jobs in JOB_COUNTS:
-        start = time.perf_counter()
-        outcome = run_monte_carlo_resumable(mc_model, SAMPLES, seed=SEED,
-                                            jobs=jobs)
-        wall[jobs] = time.perf_counter() - start
-        assert outcome.complete and outcome.failed == 0
-        samples[jobs] = outcome.result.samples
+    reference = None
+    for jobs in JOB_COUNTS:  # warm-up, untimed
+        _, samples = _timed_run(jobs)
+        if reference is None:
+            reference = samples
+    walls = {jobs: [] for jobs in JOB_COUNTS}
+    for _ in range(ROUNDS):
+        for jobs in JOB_COUNTS:
+            elapsed, samples = _timed_run(jobs)
+            walls[jobs].append(elapsed)
+            # Determinism is unconditional: every job count, bit for bit.
+            assert np.array_equal(samples, reference), (
+                f"jobs={jobs} drifted from the serial sample vector")
 
-    # Determinism is unconditional: every job count, bit for bit.
-    for jobs in JOB_COUNTS[1:]:
-        assert np.array_equal(samples[jobs], samples[1]), (
-            f"jobs={jobs} drifted from the serial sample vector")
-
-    speedups = {jobs: wall[1] / wall[jobs] for jobs in JOB_COUNTS}
+    wall = {jobs: statistics.median(walls[jobs]) for jobs in JOB_COUNTS}
+    ratios = {jobs: [serial / parallel for serial, parallel
+                     in zip(walls[1], walls[jobs])] for jobs in JOB_COUNTS}
+    speedups = {jobs: statistics.median(ratios[jobs])
+                for jobs in JOB_COUNTS}
     metrics = {
         "samples": SAMPLES,
         "cpu_count": cpu_count,
@@ -75,10 +98,14 @@ def test_parallel_sweep_scaling_and_determinism():
         "wall_seconds_jobs4": round(wall[4], 3),
         "speedup_jobs2": round(speedups[2], 3),
         "speedup_jobs4": round(speedups[4], 3),
+        "rounds": ROUNDS,
+        "speedup_jobs2_per_round": [round(r, 3) for r in ratios[2]],
+        "speedup_jobs4_per_round": [round(r, 3) for r in ratios[4]],
     }
     record_json("BENCH_sweep", metrics)
     record_result("sweep_scaling", "\n".join([
-        f"{SAMPLES}-sample Monte-Carlo, {cpu_count} CPU(s):",
+        f"{SAMPLES}-sample Monte-Carlo, {cpu_count} CPU(s), "
+        f"median of {ROUNDS} warm rounds:",
         *(f"  jobs={j}: {wall[j] * 1e3:8.1f} ms  "
           f"({speedups[j]:5.2f}x vs serial)" for j in JOB_COUNTS),
         *(f"  jobs={jobs} floor: {floor}x "

@@ -306,8 +306,8 @@ class _LintVisitor(ast.NodeVisitor):
             f"direct {root}.{func.attr}() call; dense solves must "
             "route through repro.spice.linalg",
             node,
-            hint="use lu_factorize/lu_backsolve or lu_solve_dense from "
-                 "repro.spice.linalg (batched variants included)")
+            hint="use solve_rows_t_into (the in-place dgesv every "
+                 "solver calls) or lu_solve_dense from repro.spice.linalg")
 
     def _exempt_tolerance_targets(self, targets, value) -> None:
         """Values bound to tolerance-named targets are numerical knobs."""

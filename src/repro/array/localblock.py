@@ -204,7 +204,6 @@ def simulate_localblock_read(cell: Dram1t1cCell,
     }
     result = simulate_transient(circuit, t_stop=_T_STOP, dt=_DT,
                                 initial_voltages=initial)
-    time = result.time
     lbl = result.voltage("lbl")
     ref = result.voltage("ref")
     # Signal right before SA enable.
@@ -212,7 +211,6 @@ def simulate_localblock_read(cell: Dram1t1cCell,
     signal = float(abs(lbl[idx] - ref[idx]))
     gbl = result.voltage("gbl")
     gbl_swing = float(abs(gbl[0] - gbl.min()))
-    del time
     return LocalBlockWaveforms(
         result=result,
         stored_value=stored_value,

@@ -8,10 +8,10 @@ parameter-perturbed instances of one topology on a shared sample axis
 and advances them through one vectorised Newton loop:
 
 * the per-sample linear bases become a stack in the scalar plan's
-  value layout — ``(B, n, n)`` matrices on the dense backend,
-  ``(B, nnz)`` values on the frozen sparse pattern — sliced to the
-  live rows once per step and copied per iterate (the batched twin of
-  the scalar plan's ``np.copyto`` from its cached base);
+  value layout — ``(B, n*n)`` column-major matrices on the dense
+  backend, ``(B, nnz)`` values on the frozen sparse pattern — sliced
+  to the live rows once per step and copied per iterate (the batched
+  twin of the scalar plan's ``np.copyto`` from its cached base);
 * the nonlinear companion values are computed by *group fillers* —
   one vectorised evaluator per element class over element-major
   ``(E, L)`` arrays, with the MOSFET model's three finite-difference
@@ -23,11 +23,10 @@ and advances them through one vectorised Newton loop:
   shared-destination remainder (unbuffered ``np.add.at``, which
   preserves each cell's accumulation order; see below);
 * the dense linear solve loops LAPACK's fused factor+solve over every
-  live row (:func:`repro.spice.linalg.solve_rows_t_into`), in place in
-  the per-live-count scratch stack; it stays per-sample because a
-  vectorised triangular solve would change BLAS reduction order, and
-  ``dgesv`` *is* ``dgetrf`` + ``dgetrs``, so each row solves to the
-  scalar plan's bits;
+  live row (:func:`repro.spice.linalg.solve_rows_t_into`, the scalar
+  plan's kernel), in place in the per-live-count scratch stack; it
+  stays per-sample because a vectorised triangular solve would change
+  BLAS reduction order, so each row solves to the scalar plan's bits;
 * the sparse linear solve runs every live row through one level
   schedule (:meth:`repro.spice.sparse.SparseContext.factorize_rows` /
   ``solve_rows``): all samples share plan 0's pattern and symbolic
@@ -252,7 +251,7 @@ def _carve(pool: Dict[str, np.ndarray], name: str, shape: Tuple[int, ...],
     return buf[:size].reshape(shape)
 
 
-def _scatter_keep(idx: np.ndarray, limit: Optional[int] = None
+def _scatter_keep(idx: np.ndarray, limit: int
                   ) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Pad-filter a scatter-index array for batched ``np.add.at``.
 
@@ -268,7 +267,7 @@ def _scatter_keep(idx: np.ndarray, limit: Optional[int] = None
     accumulates the same partial sums to the last bit.
     """
     idx = np.asarray(idx, dtype=np.intp)
-    if limit is None or bool((idx < limit).all()):
+    if bool((idx < limit).all()):
         return None, idx.copy()
     keep = np.nonzero(idx < limit)[0]
     return keep, idx[keep]
@@ -682,30 +681,18 @@ class BatchStampPlan:
         slot_of = np.empty(self._n_slots, dtype=np.intp)
         for group in self._groups:
             slot_of[group.plan_slots] = np.arange(group.lo, group.hi)
-        # Scalar plan 0 owns the canonical scatter geometry; the
-        # topology check above guarantees every sample shares it.
-        n = self.size
-        if self._sparse is not None:
-            # Value positions on the frozen pattern, one nnz-wide row
-            # per sample.
-            m_dst = plan0._m_pos
-            self._row_stride = self._sparse.nnz
-        else:
-            # The matrix stack is stored *transposed* (each row holds
-            # A.T, i.e. A in LAPACK's native Fortran order) so dgesv can
-            # factor in place with no layout copy.  Flat index r*n+c
-            # becomes c*n+r: the add sequence hitting each destination
-            # is unchanged, only its storage address moves.
-            _, m_dst = _scatter_keep(plan0._m_idx)
-            m_dst = (m_dst % n) * n + (m_dst // n)
-            self._row_stride = n * n
+        # Scalar plan 0 owns the canonical scatter geometry and the
+        # value layout each row of the stack repeats (the column-major
+        # dense matrix LAPACK factors in place, or the frozen sparse
+        # pattern's values); the topology check above guarantees every
+        # sample shares both.
+        self._row_stride = plan0._values.size
         (self._m_slot, self._m_sign, self._m_dst,
          self._m_n_uniq) = _split_unique(
-            slot_of[plan0._m_slot], plan0._m_sign, m_dst)
-        _, r_dst = _scatter_keep(plan0._r_idx)
+            slot_of[plan0._m_slot], plan0._m_sign, plan0._m_pos)
         (self._r_slot, self._r_sign, self._r_dst,
          self._r_n_uniq) = _split_unique(
-            slot_of[plan0._r_slot], plan0._r_sign, r_dst)
+            slot_of[plan0._r_slot], plan0._r_sign, plan0._r_idx)
         # Linear RHS machinery: capacitor companions are stacked per
         # sample; sources shared across samples (the common case: the
         # builder reuses one waveform object) are evaluated once.  The
@@ -715,7 +702,7 @@ class BatchStampPlan:
         self._cap_ia = plan0._cap_ia
         self._cap_ib = plan0._cap_ib
         self._cap_keep, self._cap_dst = _scatter_keep(
-            plan0._cap_rhs_idx, limit=self.size)
+            plan0._cap_rhs_idx, self.size)
         self._cap_c_stack = (np.array([p._cap_c for p in self.plans])
                              if self._n_caps else None)
         # Flat add.at index stacks, built lazily per live-row count
@@ -859,17 +846,9 @@ class BatchStampPlan:
         gmin = 1e-12  # noqa: L101 - gmin, siemens
         key = (dt, gmin)
         if self._base_stack_key != key:
-            if self._sparse is not None:
-                # Each plan gathers its dense base through the shared
-                # pattern and drops it: no (B, n, n) array exists.
-                self._base_stack = np.stack(
-                    [plan._base(dt, gmin) for plan in self.plans])
-            else:
-                # Transposed per sample to match the transposed `_m_dst`
-                # scatter map (see __init__): row b holds base_b.T.
-                self._base_stack = np.stack(
-                    [plan._build_base(dt, gmin).T
-                     for plan in self.plans]).copy()
+            # Row b is plan b's base in its value layout.
+            self._base_stack = np.stack(
+                [plan._base(dt, gmin) for plan in self.plans])
             self._base_stack_key = key
         self._live_rows = None
         if self._n_caps:
@@ -1015,12 +994,13 @@ class BatchStampPlan:
                               (live,) + self._base_stack.shape[1:])
             solutions = []
             for k in range(2):
-                # Dense: row i of `matrices` holds A_i.T, so its `.T`
-                # view is A_i in LAPACK's Fortran order; the views are
-                # built once per buffer pair.
+                # Dense: row i of `matrices` holds A_i in column-major
+                # order, viewed as LAPACK's Fortran-ordered matrix; the
+                # views are built once per buffer pair.
                 rhs = _carve(pool, f"rhs{k}", (live, n))
                 solutions.append((rhs, None if self._sparse is not None
-                                  else [(mat_t.T, row) for mat_t, row
+                                  else [(mat.reshape((n, n), order="F"),
+                                         row) for mat, row
                                         in zip(matrices, rhs)]))
             scratch = (xpad,
                        _carve(pool, "vals", (self._n_slots, live)),
@@ -1432,7 +1412,7 @@ def eval_model_batch(model: BatchTransientModel,
         solved = batch_transient_outcomes(
             circuits, model.t_stop, model.dt, initial_voltages=initials,
             recovery=model.recovery,
-            backend=getattr(model, "backend", "auto"))
+            backend=model.backend)
         for i, (ok, payload) in zip(built, solved):
             if not ok:
                 outcomes[i] = (False, payload)

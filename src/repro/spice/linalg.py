@@ -2,11 +2,14 @@
 
 Every dense solve in :mod:`repro.spice` — the compiled
 :class:`~repro.spice.stampplan.StampPlan` and the batched sample-axis
-solver, DC and transient alike — routes through LAPACK's
-``dgetrf``/``dgetrs`` pair here.  That single-kernel rule is what makes
-the batch *bit-identical* to the scalar solve, and both to the
-per-element stamping oracle the tests keep: an identical matrix
-factorised by the same routine yields the identical solution.
+solver, DC and transient alike — runs LAPACK's fused ``dgesv`` in
+place through :func:`solve_rows_t_into`, on matrices stored in
+LAPACK's column-major order.  ``dgesv`` *is* ``dgetrf`` followed by
+``dgetrs``, the pair :func:`lu_solve_dense` (the per-element stamping
+oracle's solve in the tests) calls.  That single-kernel rule is what
+makes the batch *bit-identical* to the scalar solve, and both to the
+oracle: an identical matrix factorised by the same routine yields the
+identical solution.
 
 The raw LAPACK bindings skip :func:`scipy.linalg.lu_factor`'s per-call
 validation wrappers (about half the solve cost at MNA sizes) while
@@ -84,13 +87,13 @@ def solve_rows_t_into(rows: List[Tuple[np.ndarray, np.ndarray]]
                       ) -> List[int]:
     """Factor and solve every ``(A_i, rhs_i)`` pair in place.
 
-    Each ``A_i`` is Fortran-ordered — LAPACK's native layout, e.g. the
-    ``.T`` view of a C-ordered ``A_i.T`` — so ``dgesv`` factors it in
-    place with no copy.  ``dgesv`` *is* ``dgetrf`` followed by
-    ``dgetrs``, so each solution has the bits of :func:`lu_solve_dense`
-    on ``A_i``.  Solutions land in the ``rhs_i`` vectors and the
-    matrices are consumed as scratch.  Returns the indexes of singular
-    rows (their ``rhs_i`` are garbage).
+    Each ``A_i`` is Fortran-ordered — LAPACK's native layout, e.g. a
+    column-major value array viewed with ``reshape((n, n), order="F")``
+    — so ``dgesv`` factors it in place with no copy.  ``dgesv`` *is*
+    ``dgetrf`` followed by ``dgetrs``, so each solution has the bits of
+    :func:`lu_solve_dense` on ``A_i``.  Solutions land in the ``rhs_i``
+    vectors and the matrices are consumed as scratch.  Returns the
+    indexes of singular rows (their ``rhs_i`` are garbage).
     """
     bad: List[int] = []
     for i, (matrix, row) in enumerate(rows):

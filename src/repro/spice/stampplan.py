@@ -17,9 +17,10 @@ lookups:
   capacitor history scatter is vectorised with ``np.add.at`` over
   precompiled index arrays;
 * nonlinear elements are compiled to per-element *value fillers* with
-  node indices resolved to integers once; their matrix/RHS writes
-  replay through two ``np.add.at`` scatters over index/sign arrays
-  frozen in canonical write order.
+  node indices resolved to integers once; each reads the iterate as a
+  Python list whose trailing slot is ground's 0.0, and their
+  matrix/RHS writes replay through one ``np.add.at`` scatter over
+  index/sign arrays frozen in canonical write order.
 
 Each Newton iterate then does one assembly (base copy, filler scatter,
 gmin-stepping diagonal) into a value array plus a RHS vector, and one
@@ -28,8 +29,10 @@ workloads consecutive iterates almost never repeat a matrix, so a
 factorisation cache would only add key hashing to every solve.
 
 **Backends.**  ``backend`` selects the linear kernel: ``"dense"`` (the
-default — LAPACK LU via :mod:`repro.spice.linalg` on the plan's
-persistent ``n x n`` buffer), ``"sparse"`` (the pattern-compiled CSR
+default — the plan's persistent ``n x n`` buffer, stored in LAPACK's
+column-major order so :func:`repro.spice.linalg.solve_rows_t_into`
+factors and solves it in place with one ``dgesv``, the kernel the
+batched solver runs per row), ``"sparse"`` (the pattern-compiled CSR
 path of :mod:`repro.spice.sparse` — the value array is the frozen
 pattern's values, never an O(n²) matrix), or ``"auto"`` (sparse at and
 above ``SPARSE_AUTO_THRESHOLD`` unknowns, dense below; the crossover is
@@ -153,7 +156,6 @@ class StampPlan:
         self._n_nodes = len(system.node_index)
         ground_slot = self.size  # pad slot for gathers/scatters via ground
 
-        self._rhs = np.zeros(self.size)
         self._diag_flat = np.arange(self._n_nodes) * (self.size + 1)
 
         self._resistors: List[Tuple[int, int, float]] = []
@@ -192,7 +194,7 @@ class StampPlan:
         # Nonlinear elements compile to *value fillers*: per iterate
         # each computes its companion-model values (conductances plus
         # the linearisation residue) into one shared list, and the
-        # matrix/RHS writes replay through two np.add.at scatters over
+        # matrix/RHS writes replay through one np.add.at scatter over
         # index/slot/sign arrays frozen at compile time in canonical
         # write order (np.add.at applies unbuffered, in index order, so
         # per-cell accumulation order — and therefore rounding — is
@@ -240,18 +242,34 @@ class StampPlan:
 
         # The value array assembly writes, and where the companion
         # scatter and the gmin-stepping diagonal land in it: the dense
-        # matrix viewed flat, or the frozen sparse pattern's values.
+        # matrix in LAPACK's column-major order, or the frozen sparse
+        # pattern's values.
         self.backend = backend
         self._sparse: Optional[SparseContext] = None
+        n = self.size
         if backend == "sparse":
             self._compile_sparse()
+            n_values = self._sparse.nnz
         else:
             # Only the dense kernel reads an n x n matrix; a sparse plan
-            # never allocates one.
-            self._matrix = np.zeros((self.size, self.size))
-            self._values = self._matrix.ravel()  # shared-memory view
-            self._m_pos = self._m_idx
+            # never allocates one.  Row-major r*n+c becomes column-major
+            # c*n+r: each cell receives the same adds in the same order,
+            # only its storage address moves.
+            n_values = n * n
+            self._m_pos = (self._m_idx % n) * n + self._m_idx // n
             self._diag_pos = self._diag_flat
+        # One buffer holds the value array, then the RHS, so a single
+        # np.add.at reaches both; the parts are disjoint, so each cell
+        # still receives its writes in canonical order.
+        self._buf = np.zeros(n_values + n)
+        self._values, self._rhs = self._buf[:n_values], self._buf[n_values:]
+        self._nl_pos = np.concatenate([self._m_pos, n_values + self._r_idx])
+        self._nl_slot = np.concatenate([self._m_slot, self._r_slot])
+        self._nl_sign = np.concatenate([self._m_sign, self._r_sign])
+        if self._sparse is None:
+            # A itself, as a Fortran-ordered view dgesv factors in place.
+            self._rows = [(self._values.reshape((n, n), order="F"),
+                           self._rhs)]
 
     def _compile_sparse(self) -> None:
         """Freeze the sparsity pattern and the value-scatter maps."""
@@ -275,7 +293,6 @@ class StampPlan:
         flat = np.array(sorted(pattern), dtype=np.intp)
         self._sparse = SparseContext(size, flat)
         pos_of = {int(f): pos for pos, f in enumerate(flat)}
-        self._values = np.empty(len(flat))
         self._m_pos = np.array([pos_of[int(i)] for i in self._m_idx],
                                dtype=np.intp)
         self._diag_pos = np.array(
@@ -293,8 +310,10 @@ class StampPlan:
         """Compile one nonlinear element to its value filler.
 
         Returns ``(fill, n_slots, matrix_writes, rhs_writes)`` where
-        ``fill(x, vals, gmin)`` stores the element's companion values
-        into ``vals[slot:slot + n_slots]`` and each write tuple
+        ``fill(xl, vals, gmin)`` stores the element's companion values
+        into ``vals[slot:slot + n_slots]`` — ``xl`` is the iterate as a
+        list with ground's 0.0 appended, so ground's index -1 reads
+        that slot — and each write tuple
         ``(flat_index, value_slot, sign)`` is one ``+=``/``-=`` of the
         element's textbook stamp, in its order (``a -= v`` is exactly
         ``a += (-1.0 * v)`` in IEEE arithmetic).
@@ -314,10 +333,8 @@ class StampPlan:
         has_a, has_c = a >= 0, c >= 0
         s_g, s_res = slot, slot + 1
 
-        def fill(x, vals, gmin):
-            va = x.item(a) if has_a else 0.0
-            vc = x.item(c) if has_c else 0.0
-            v = va - vc
+        def fill(xl, vals, gmin):
+            v = xl[a] - xl[c]
             # Inlined Diode.current_and_conductance (overflow clamp).
             if v <= v_clip:
                 e = exp(v / v_t)
@@ -356,16 +373,13 @@ class StampPlan:
         exp = math.exp
         size = self.size
         has_a, has_b = a >= 0, b >= 0
-        has_cp, has_cn = cp >= 0, cn >= 0
         s_g = slot
 
-        def fill(x, vals, gmin):
-            vp = x.item(cp) if has_cp else 0.0
-            vn = x.item(cn) if has_cn else 0.0
+        def fill(xl, vals, gmin):
             # Inlined Switch.conductance (clamped logistic).  The full
             # g_off + span*frac expression runs in every branch because
             # g_off + span*1.0 need not round back to g_on exactly.
-            arg = ((vp - vn) - threshold) / transition
+            arg = ((xl[cp] - xl[cn]) - threshold) / transition
             if arg > 40:
                 frac = 1.0
             elif arg < -40:
@@ -397,10 +411,10 @@ class StampPlan:
         has_d, has_g, has_s = d >= 0, g_ >= 0, s >= 0
         s_gd, s_gm, s_res = slot, slot + 1, slot + 2
 
-        def fill(x, vals, gmin):
-            vd = x.item(d) if has_d else 0.0
-            vg = x.item(g_) if has_g else 0.0
-            vs = x.item(s) if has_s else 0.0
+        def fill(xl, vals, gmin):
+            vd = xl[d]
+            vg = xl[g_]
+            vs = xl[s]
             # Direction dispatch of MosfetElement.current for the
             # operating point and the two finite-difference probes.
             # The gate probe shares the operating point's branch and
@@ -438,15 +452,22 @@ class StampPlan:
             # passes vsb=0, where it is exactly zero; the vds<0 guard
             # is dead because the dispatch above always yields
             # vds >= 0 (or NaN on divergent iterates, which follows
-            # the same branches as the builtins).
-            vth = vth0 - dibl * abs(vds0)
-            vth = vth if vth > 0.05 else 0.05
-            vod = vgs0 - vth
-            vgs_c = vth if vth < vgs0 else vgs0
-            exponent = (vgs_c - (vth - vth_at_ioff)) / swing
-            i_sub = sub_scale * 10.0 ** exponent
-            if vds0 < five_vt:
-                i_sub *= 1.0 - exp(-vds0 / vt_thermal)
+            # the same branches as the builtins).  The gate probe has
+            # the operating point's vds, so it reuses the vds-only
+            # terms (vth, its ioff offset, the short-channel factor):
+            # the same expressions on the same operands, so the same
+            # bits.
+            vth_op = vth0 - dibl * abs(vds0)
+            vth_op = vth_op if vth_op > 0.05 else 0.05
+            off_op = vth_op - vth_at_ioff
+            short_op = vds0 < five_vt
+            if short_op:
+                sc_op = 1.0 - exp(-vds0 / vt_thermal)
+            vod = vgs0 - vth_op
+            vgs_c = vth_op if vth_op < vgs0 else vgs0
+            i_sub = sub_scale * 10.0 ** ((vgs_c - off_op) / swing)
+            if short_op:
+                i_sub *= sc_op
             if vod <= 0:
                 m = i_sub
             else:
@@ -481,14 +502,11 @@ class StampPlan:
                     m = i_dsat * ratio * (2.0 - ratio) + i_sub
             i1 = -m if neg1 else m
 
-            vth = vth0 - dibl * abs(vds0)
-            vth = vth if vth > 0.05 else 0.05
-            vod = vgs2 - vth
-            vgs_c = vth if vth < vgs2 else vgs2
-            exponent = (vgs_c - (vth - vth_at_ioff)) / swing
-            i_sub = sub_scale * 10.0 ** exponent
-            if vds0 < five_vt:
-                i_sub *= 1.0 - exp(-vds0 / vt_thermal)
+            vod = vgs2 - vth_op
+            vgs_c = vth_op if vth_op < vgs2 else vgs2
+            i_sub = sub_scale * 10.0 ** ((vgs_c - off_op) / swing)
+            if short_op:
+                i_sub *= sc_op
             if vod <= 0:
                 m = i_sub
             else:
@@ -552,9 +570,11 @@ class StampPlan:
         if base is None:
             if len(self._bases) >= _MAX_BASES:
                 self._bases.pop(next(iter(self._bases)))
-            base = self._build_base(dt, gmin).ravel()
+            matrix = self._build_base(dt, gmin)
             if self._sparse is not None:
-                base = base[self._sparse.flat]
+                base = matrix.ravel()[self._sparse.flat]
+            else:
+                base = matrix.ravel(order="F")  # LAPACK's column-major
             self._bases[key] = base
         return base
 
@@ -626,8 +646,9 @@ class StampPlan:
                   x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble one Newton iterate at ``x`` into ``(values, rhs)``.
 
-        Both are the plan's persistent buffers: the dense matrix viewed
-        flat (or the sparse pattern values) and the RHS vector.
+        Both are the plan's persistent buffers: the dense matrix flat in
+        column-major order (or the sparse pattern values) and the RHS
+        vector.
         """
         values, rhs = self._values, self._rhs
         np.copyto(values, point.base)
@@ -635,26 +656,33 @@ class StampPlan:
         if self._fillers:
             nl_vals = self._nl_vals
             gmin = point.gmin
+            xl = x.tolist()
+            xl.append(0.0)  # ground, read through index -1
             for fill in self._fillers:
-                fill(x, nl_vals, gmin)
+                fill(xl, nl_vals, gmin)
             v = np.array(nl_vals)
-            np.add.at(values, self._m_pos, v[self._m_slot] * self._m_sign)
-            np.add.at(rhs, self._r_idx, v[self._r_slot] * self._r_sign)
+            np.add.at(self._buf, self._nl_pos,
+                      v[self._nl_slot] * self._nl_sign)
         if point.extra_gmin > 0.0:
             values[self._diag_pos] += point.extra_gmin
         return values, rhs
 
     def solve_iterate(self, point: _SolvePoint, x: np.ndarray) -> np.ndarray:
-        """Assemble, factor and solve one Newton iterate at ``x``."""
+        """Assemble, factor and solve one Newton iterate at ``x``.
+
+        On the dense backend the solution is the plan's RHS buffer,
+        overwritten by the next call.
+        """
         values, rhs = self._assemble(point, x)
         sparse = self._sparse
+        if sparse is None:
+            if linalg.solve_rows_t_into(self._rows):
+                raise self.system.singular_error()
+            return rhs
         try:
-            if sparse is not None:
-                return sparse.solve(sparse.factorize(values), rhs)
-            factors = linalg.lu_factorize(self._matrix)
+            return sparse.solve(sparse.factorize(values), rhs)
         except np.linalg.LinAlgError as exc:
             raise self.system.singular_error() from exc
-        return linalg.lu_backsolve(factors, rhs)
 
 
 def _pattern_couple(pattern: set, ia: int, ib: int, size: int) -> None:

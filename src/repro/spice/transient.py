@@ -235,8 +235,17 @@ def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
     stronger damping, local time-step halving, gmin stepping, source
     stepping.  Returns the solution at ``t_start + dt``.
     """
+    # Rung 0: plain Newton over the full step.  Almost every step
+    # converges here, so the report and the ladder closures are built
+    # only once it has failed.
+    try:
+        return _solve_point(plan, x_start, t_start + dt, dt,
+                            max_newton=config.max_newton, meter=meter)
+    except ConvergenceError as exc:
+        last_error = exc
     circuit = plan.system.circuit
     report = RecoveryReport(circuit=circuit.name, time=t_start + dt)
+    report.record("newton", "plain", converged=False)
 
     def run_substeps(substeps: int, **solve_kwargs) -> np.ndarray:
         meter.substeps = substeps
@@ -248,8 +257,6 @@ def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
                              max_newton=config.max_newton, meter=meter,
                              **solve_kwargs)
         return x
-
-    last_error: ConvergenceError | None = None
 
     def attempt(rung: str, detail: str, substeps: int = 1,
                 **solve_kwargs) -> "np.ndarray | None":
@@ -282,11 +289,6 @@ def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
                 report.record(rung, detail, converged=False)
                 return None
             report.record(rung, detail, converged=True)
-        return x
-
-    # Rung 0: plain Newton over the full step.
-    x = attempt("newton", "plain")
-    if x is not None:
         return x
 
     # Rung 1: much stronger damping from the first iteration.
@@ -336,14 +338,13 @@ def _solve_step_with_recovery(plan: StampPlan, x_start: np.ndarray,
     _log.warning("recovery ladder exhausted for circuit %r at t=%gs "
                  "(%d attempts)", circuit.name, t_start + dt,
                  len(report.attempts))
-    base = last_error or ConvergenceError(
-        f"transient Newton failed for circuit {circuit.name!r}")
     raise ConvergenceError(
         f"transient Newton failed for circuit {circuit.name!r} and every "
         f"recovery rung was exhausted",
-        time=base.time if base.time is not None else t_start + dt,
-        iterations=base.iterations,
-        worst_node=base.worst_node,
+        time=(last_error.time if last_error.time is not None
+              else t_start + dt),
+        iterations=last_error.iterations,
+        worst_node=last_error.worst_node,
         recovery=report,
     )
 
@@ -395,7 +396,11 @@ def _solve_point(plan: StampPlan, x_prev: np.ndarray, t: float, dt: float,
             else:
                 damping = min(initial_damping, damping * 1.5)
         previous_delta = delta
-        x = x + delta * damping
+        # delta * 1.0 is delta: skip the multiply while undamped.
+        if damping == 1.0:  # noqa: L102 - exact: damping saturates at 1.0
+            x = x + delta
+        else:
+            x = x + delta * damping
         if max_step < _V_TOL:
             if meter is not None:
                 meter.add(iteration)

@@ -187,10 +187,15 @@ class TestDcEquivalence:
             assert fast == solve_dc(circuit, recovery=recovery)
 
 
+def driven_terminals(element):
+    """The terminals of ``element`` that are not ground."""
+    return [node for node in element.terminals() if node != "0"]
+
+
 def driven_circuit(element):
-    """``element`` alone, each of its terminals driven by a source."""
+    """``element`` alone, each terminal off ground driven by a source."""
     circuit = Circuit(f"single-{element.name}")
-    for node in element.terminals():
+    for node in driven_terminals(element):
         circuit.add(VoltageSource(f"v_{node}", node, "0", dc(0.0)))
     circuit.add(element)
     return circuit
@@ -199,17 +204,20 @@ def driven_circuit(element):
 def assert_assembly_matches_oracle(element, levels):
     """The plan's assembled matrix and RHS equal the oracle's
     per-element stamps byte for byte at every combination of terminal
-    voltages drawn from ``levels`` (one sequence per terminal)."""
+    voltages drawn from ``levels`` (one sequence per terminal off
+    ground).  The plan stores the dense matrix in LAPACK's column-major
+    order, so its buffer viewed row-major is the transpose."""
     system = MnaSystem(driven_circuit(element))
     plan, oracle = StampPlan(system), OraclePlan(system)
     point, oracle_point = plan.begin_point(t=0.0), oracle.begin_point(t=0.0)
-    nodes = [system.index(node) for node in element.terminals()]
+    nodes = [system.index(node) for node in driven_terminals(element)]
+    n = system.size
     for voltages in itertools.product(*levels):
-        x = np.zeros(system.size)
+        x = np.zeros(n)
         x[nodes] = voltages
         values, rhs = plan._assemble(point, x)
         stamped = oracle.assemble(oracle_point, x)
-        assert values.tobytes() == stamped.matrix.tobytes()
+        assert values.reshape(n, n).T.tobytes() == stamped.matrix.tobytes()
         assert rhs.tobytes() == stamped.rhs.tobytes()
 
 
@@ -221,12 +229,15 @@ class TestCompiledDevices:
         ("m_sa_n1", Polarity.NMOS), ("m_sa_p1", Polarity.PMOS)])
     def test_assembly_matches_element_stamp(self, name, polarity):
         """Over the terminal grid, reverse conduction (drain below
-        source) included."""
+        source) included, and with the source on ground, which reads
+        the ground slot the fillers append to the iterate."""
         source, _initial = localblock_circuit()
         element = next(el for el in source.elements if el.name == name)
         assert element.device.polarity is polarity
         device = MosfetElement(name, "d", "g", "s", element.device)
         assert_assembly_matches_oracle(device, (_GRID, _GRID, (0.0, 0.3, 1.2)))
+        grounded = MosfetElement(name, "d", "g", "0", element.device)
+        assert_assembly_matches_oracle(grounded, (_GRID, _GRID))
 
     def test_diode_assembly_matches_element_stamp(self):
         """Both terminals off ground, forward bias past the clamp."""
@@ -234,10 +245,14 @@ class TestCompiledDevices:
         assert_assembly_matches_oracle(diode, (_GRID, _GRID))
 
     def test_switch_assembly_matches_element_stamp(self):
-        """Control voltages through both logistic clamps."""
+        """Control voltages through both logistic clamps, and with
+        ``ctrl_n`` on ground as in every switch of the local block."""
         switch = Switch("s1", "a", "b", "p", "n")
         assert_assembly_matches_oracle(
             switch, ((0.0, 0.7), (0.0, 0.7), _GRID, _GRID))
+        grounded = Switch("s1", "a", "b", "p", "0")
+        assert_assembly_matches_oracle(
+            grounded, ((0.0, 0.7), (0.0, 0.7), _GRID))
 
 
 class _PythonDiode(Diode):
@@ -320,7 +335,7 @@ class TestOneFactorizationPerIterate:
                                                  backend):
         from repro.spice import linalg
         from repro.spice.sparse import SparseContext
-        owner, name = ((linalg, "lu_factorize") if backend == "dense"
+        owner, name = ((linalg, "solve_rows_t_into") if backend == "dense"
                        else (SparseContext, "factorize"))
         iterates = count_calls(monkeypatch, StampPlan, "solve_iterate")
         factors = count_calls(monkeypatch, owner, name)
