@@ -10,7 +10,6 @@ import dataclasses
 
 from repro.array import compare_banking_options
 from repro.core import FastDramDesign, PvtAnalysis, format_table
-from repro.sramref import SramBaselineDesign
 from repro.units import Mb, kb, mm2, ns, pJ, si_format, uW
 from benchmarks._util import record_result
 

@@ -6,7 +6,6 @@ and becomes negligible at high retention.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import format_table
 from repro.refresh import (

@@ -7,31 +7,40 @@ still pays a full Python Newton loop.  This module stacks **B**
 parameter-perturbed instances of one topology on a shared sample axis
 and advances them through one vectorised Newton loop:
 
-* the per-sample linear bases become a stack in the scalar plan's
-  value layout — ``(B, n*n)`` column-major matrices on the dense
-  backend, ``(B, nnz)`` values on the frozen sparse pattern — sliced
-  to the live rows once per step and copied per iterate (the batched
-  twin of the scalar plan's ``np.copyto`` from its cached base);
-* the nonlinear companion values are computed by *group fillers* —
-  one vectorised evaluator per element class over element-major
-  ``(E, L)`` arrays, with the MOSFET model's three finite-difference
-  probes stacked on a leading axis so the magnitude model runs once
-  per iterate, each writing one contiguous block of a slot-major value
-  array — and scattered into the matrix stack over precomputed
-  row-offset flat indices, stable-partitioned into a unique-destination
-  prefix (plain fancy ``+=``, no collision possible) and a
-  shared-destination remainder (unbuffered ``np.add.at``, which
-  preserves each cell's accumulation order; see below);
-* the dense linear solve loops LAPACK's fused factor+solve over every
-  live row (:func:`repro.spice.linalg.solve_rows_t_into`, the scalar
-  plan's kernel), in place in the per-live-count scratch stack; it
-  stays per-sample because a vectorised triangular solve would change
-  BLAS reduction order, so each row solves to the scalar plan's bits;
-* the sparse linear solve runs every live row through one level
-  schedule (:meth:`repro.spice.sparse.SparseContext.factorize_rows` /
-  ``solve_rows``): all samples share plan 0's pattern and symbolic
-  factorisation, so each level is one B-wide NumPy call, and each row
-  gets the bits of the scalar-sparse kernel on that sample.
+Each backend keeps its stack in the layout its kernel reads best:
+
+* **dense**: sample-major.  The per-sample linear bases form a
+  ``(B, n*n)`` stack of column-major matrices (the scalar plan's value
+  layout), sliced to the live rows once per step and copied per
+  iterate.  The nonlinear companion values are computed by *group
+  fillers* — one vectorised evaluator per element class over
+  element-major ``(E, L)`` arrays, with the MOSFET model's three
+  finite-difference probes stacked on a leading axis so the magnitude
+  model runs once per iterate, each writing one contiguous block of a
+  slot-major value array — and scattered into the matrix stack over
+  precomputed row-offset flat indices, stable-partitioned into a
+  unique-destination prefix (plain fancy ``+=``, no collision
+  possible) and a shared-destination remainder (unbuffered
+  ``np.add.at``, which preserves each cell's accumulation order; see
+  below).  The solve loops LAPACK's fused factor+solve over every live
+  row (:func:`repro.spice.linalg.solve_rows_t_into`, the scalar plan's
+  kernel), in place; it stays per-sample because a vectorised
+  triangular solve would change BLAS reduction order, so each row
+  solves to the scalar plan's bits.
+* **sparse**: sample-minor, ``(cells, L)`` from assembly to solution.
+  The bases form an ``(nnz, B)`` stack on plan 0's frozen pattern.
+  The same group fillers write the value rows of one input stack whose
+  other rows are the live bases and the point RHS, and one product
+  with a CSR *stamp matrix* (compiled once per stack: each row one LU
+  working cell, its base entry first, then its signed stamps in
+  canonical order; a row-permuted twin for the RHS) yields the LU
+  working array and the pivot-ordered RHS.  Every live column then
+  runs through one level schedule
+  (:meth:`repro.spice.sparse.SparseContext.factorize_cols` /
+  ``solve_cols``): all samples share plan 0's pattern and symbolic
+  factorisation, each level gathers and reduces whole rows of L
+  values, and each column gets the bits of the scalar-sparse kernel on
+  that sample.
 
 **Bit-identity contract.**  Converged batch samples are bit-identical
 to scalar ``simulate_transient`` runs because every elementwise IEEE
@@ -52,15 +61,19 @@ where one arm must not be evaluated out of domain.  Stacking the three
 MOSFET probes is bit-safe because the magnitude model is elementwise:
 the vds-derived subterms the scalar code shares between the operating
 point and the gate probe are recomputed from identical inputs, which
-yields identical bits.  The companion scatter *is* the scalar plan's
-``np.add.at``, batched: each live row's frozen in-row indices are
+yields identical bits.  The dense companion scatter *is* the scalar
+plan's ``np.add.at``, batched: each live row's frozen in-row indices are
 offset by the row's stride into the raveled stack, so the scatter
 replays every sample's duplicate-preserving add sequence — same
 cells, same order, same partial sums, same bits — while amortising
 the fancy-indexing dispatch over the whole batch.  Splitting off the
 unique-destination entries is bit-safe because a cell hit exactly
 once has no accumulation order to preserve: one add is one add,
-whether ``np.add.at`` or fancy ``+=`` performs it.
+whether ``np.add.at`` or fancy ``+=`` performs it.  The sparse stamp
+product gives the same sums: it adds each row's entries in stored
+order from 0.0, so a cell is its base, then each stamp in canonical
+order, as ``np.add.at`` adds them (see
+:meth:`BatchStampPlan._compile_stamp`).
 
 **Active set and ejection.**  Samples drop out of the active set the
 iterate they converge (masked dropout), and the whole batch marches to
@@ -627,13 +640,14 @@ class _BatchStep:
 
     rows: np.ndarray                 # sample ids, one per live row
     rhs_point: np.ndarray            # (L, n) linear RHS
-    base: np.ndarray                 # (L, n, n) or (L, nnz) base slice
+    base: Optional[np.ndarray]       # (L, n*n) dense base slice; sparse:
+                                     # None, read from the base stack
     group_consts: List[np.ndarray]   # one (K, E, L) stack per group
 
     def mask(self, keep: np.ndarray) -> "_BatchStep":
         return _BatchStep(
             rows=self.rows[keep], rhs_point=self.rhs_point[keep],
-            base=self.base[keep],
+            base=None if self.base is None else self.base[keep],
             group_consts=[t[:, :, keep] for t in self.group_consts])
 
 
@@ -682,17 +696,23 @@ class BatchStampPlan:
         for group in self._groups:
             slot_of[group.plan_slots] = np.arange(group.lo, group.hi)
         # Scalar plan 0 owns the canonical scatter geometry and the
-        # value layout each row of the stack repeats (the column-major
-        # dense matrix LAPACK factors in place, or the frozen sparse
-        # pattern's values); the topology check above guarantees every
-        # sample shares both.
-        self._row_stride = plan0._values.size
-        (self._m_slot, self._m_sign, self._m_dst,
-         self._m_n_uniq) = _split_unique(
-            slot_of[plan0._m_slot], plan0._m_sign, plan0._m_pos)
-        (self._r_slot, self._r_sign, self._r_dst,
-         self._r_n_uniq) = _split_unique(
-            slot_of[plan0._r_slot], plan0._r_sign, plan0._r_idx)
+        # value layout the stack repeats (the column-major dense matrix
+        # LAPACK factors in place, or the frozen sparse pattern's
+        # values); the topology check above guarantees every sample
+        # shares both.
+        self._slot_of = slot_of
+        if self._sparse is None:
+            (self._m_slot, self._m_sign, self._m_dst,
+             self._m_n_uniq) = _split_unique(
+                slot_of[plan0._m_slot], plan0._m_sign, plan0._m_pos)
+            (self._r_slot, self._r_sign, self._r_dst,
+             self._r_n_uniq) = _split_unique(
+                slot_of[plan0._r_slot], plan0._r_sign, plan0._r_idx)
+        # Sparse: the stamp matrix, compiled on the first iterate, when
+        # the analysis has fixed the fill cells and the pivot rows, and
+        # the step whose base and RHS rows the input stack holds.
+        self._stamp: Any = None
+        self._stack_step: Optional[_BatchStep] = None
         # Linear RHS machinery: capacitor companions are stacked per
         # sample; sources shared across samples (the common case: the
         # builder reuses one waveform object) are evaluated once.  The
@@ -707,11 +727,13 @@ class BatchStampPlan:
                              if self._n_caps else None)
         # Flat add.at index stacks, built lazily per live-row count
         # (the count shrinks as samples converge or eject).
-        self._flat_cache: Dict[
-            int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        # Per-live-count iterate buffers (xpad, vals, m-terms, r-terms,
-        # value stack, two RHS buffers that take turns) and step
-        # buffers, reused across iterates and carved from one pool.
+        self._flat_cache: Dict[int, Tuple[np.ndarray, ...]] = {}
+        self._cap_cache: Dict[int, np.ndarray] = {}
+        # Per-live-count iterate buffers (dense: xpad, vals, m-terms,
+        # r-terms, value stack, two RHS buffers that take turns;
+        # sparse: xpad, the stamp input stack, its value rows, two
+        # solution buffers that take turns) and step buffers, reused
+        # across iterates and carved from one pool.
         self._iter_scratch: Dict[int, Tuple[np.ndarray, ...]] = {}
         self._step_scratch: Dict[int, Tuple[np.ndarray, ...]] = {}
         self._pool: Dict[str, np.ndarray] = {}
@@ -846,9 +868,11 @@ class BatchStampPlan:
         gmin = 1e-12  # noqa: L101 - gmin, siemens
         key = (dt, gmin)
         if self._base_stack_key != key:
-            # Row b is plan b's base in its value layout.
+            # Plan b's base in its value layout is row b of the dense
+            # stack and column b of the sample-minor sparse one.
             self._base_stack = np.stack(
-                [plan._base(dt, gmin) for plan in self.plans])
+                [plan._base(dt, gmin) for plan in self.plans],
+                axis=0 if self._sparse is None else 1)
             self._base_stack_key = key
         self._live_rows = None
         if self._n_caps:
@@ -857,8 +881,8 @@ class BatchStampPlan:
 
     def _flat_indices(self, live: int
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray, np.ndarray]:
-        """Flat scatter indices for ``live`` rows.
+                                 np.ndarray]:
+        """Flat dense scatter indices for ``live`` rows.
 
         Matrix and RHS indices are *entry-major* — index ``[e, i]`` is
         scatter entry ``e`` of sample row ``i`` — split at the
@@ -866,28 +890,32 @@ class BatchStampPlan:
         takes a plain fancy ``+=``; the shared part replays each
         cell's scalar accumulation order under ``np.add.at`` (for one
         destination cell, entries keep ascending ``e`` order, and
-        different rows never collide).  Capacitor indices stay
-        row-major to match the ``(L, 2C)`` companion value layout.
+        different rows never collide).
         """
         cached = self._flat_cache.get(live)
         if cached is None:
             n = self.size
-            stride = self._row_stride
-            col_m = np.arange(live, dtype=np.intp)[None, :] * stride
-            col_r = np.arange(live, dtype=np.intp)[None, :] * n
-            row_r = np.arange(live, dtype=np.intp)[:, None] * n
-            m_flat = (self._m_dst[:, None] + col_m).reshape(-1)
-            r_flat = (self._r_dst[:, None] + col_r).reshape(-1)
+            col = np.arange(live, dtype=np.intp)[None, :]
+            m_flat = (self._m_dst[:, None] + col * (n * n)).reshape(-1)
+            r_flat = (self._r_dst[:, None] + col * n).reshape(-1)
             ku, kr = self._m_n_uniq * live, self._r_n_uniq * live
-            cached = (m_flat[:ku], m_flat[ku:],
-                      r_flat[:kr], r_flat[kr:],
-                      (row_r + self._cap_dst).ravel())
+            cached = (m_flat[:ku], m_flat[ku:], r_flat[:kr], r_flat[kr:])
             self._flat_cache[live] = cached
+        return cached
+
+    def _cap_indices(self, live: int) -> np.ndarray:
+        """Flat capacitor-companion RHS indices for ``live`` rows,
+        row-major to match the ``(L, 2C)`` companion value layout."""
+        cached = self._cap_cache.get(live)
+        if cached is None:
+            row = np.arange(live, dtype=np.intp)[:, None] * self.size
+            cached = self._cap_cache[live] = (row + self._cap_dst).ravel()
         return cached
 
     def _refresh_live(self, rows: np.ndarray) -> None:
         self._live_rows = rows
-        self._live_base = self._base_stack[rows]
+        if self._sparse is None:
+            self._live_base = self._base_stack[rows]
         self._live_consts = [g.consts[:, :, rows] for g in self._groups]
         if self._n_caps:
             self._live_geq = self._geq_stack[rows]
@@ -930,7 +958,7 @@ class BatchStampPlan:
             if self._cap_keep is not None:
                 cv = cap_vals[:, self._cap_keep]
             if self._cap_dst.size:
-                cap_flat = self._flat_indices(live)[4]
+                cap_flat = self._cap_indices(live)
                 np.add.at(rhs.reshape(-1), cap_flat, cv.reshape(-1))
         plans = self.plans
         if self._vsrc_all_shared:
@@ -978,6 +1006,8 @@ class BatchStampPlan:
         so the caller may keep it (and write it) until the next-but-one
         call with the same live count.
         """
+        if self._sparse is not None:
+            return self._iterate_sparse(step, x)
         n = self.size
         live = step.rows.shape[0]
         scratch = self._iter_scratch.get(live)
@@ -990,18 +1020,16 @@ class BatchStampPlan:
             # of shared memory would overwrite it.
             xpad = np.empty((n + 1, live))
             xpad[n] = 0.0
-            matrices = _carve(pool, "matrices",
-                              (live,) + self._base_stack.shape[1:])
+            matrices = _carve(pool, "matrices", (live, n * n))
             solutions = []
             for k in range(2):
-                # Dense: row i of `matrices` holds A_i in column-major
-                # order, viewed as LAPACK's Fortran-ordered matrix; the
-                # views are built once per buffer pair.
+                # Row i of `matrices` holds A_i in column-major order,
+                # viewed as LAPACK's Fortran-ordered matrix; the views
+                # are built once per buffer pair.
                 rhs = _carve(pool, f"rhs{k}", (live, n))
-                solutions.append((rhs, None if self._sparse is not None
-                                  else [(mat.reshape((n, n), order="F"),
-                                         row) for mat, row
-                                        in zip(matrices, rhs)]))
+                solutions.append((rhs, [
+                    (mat.reshape((n, n), order="F"), row)
+                    for mat, row in zip(matrices, rhs)]))
             scratch = (xpad,
                        _carve(pool, "vals", (self._n_slots, live)),
                        _carve(pool, "mterm", (self._m_slot.shape[0], live)),
@@ -1012,15 +1040,15 @@ class BatchStampPlan:
         xpad[:n] = x.T
         for group, consts in zip(self._groups, step.group_consts):
             group.fill(xpad, vals, consts)
-        # The dense matrix stack is consumed by the in-place
-        # factorisation and the RHS buffer becomes the solution the
-        # caller keeps, so the two RHS buffers take turns.
+        # The matrix stack is consumed by the in-place factorisation
+        # and the RHS buffer becomes the solution the caller keeps, so
+        # the two RHS buffers take turns.
         rhs, rows = solutions[0]
         solutions.reverse()
         np.copyto(matrices, step.base)
         np.copyto(rhs, step.rhs_point)
         if self._n_slots:
-            mu, md, ru, rd, _cap = self._flat_indices(live)
+            mu, md, ru, rd = self._flat_indices(live)
             ku, kr = self._m_n_uniq, self._r_n_uniq
             # Entry-major terms: row e holds scatter entry e across the
             # live samples, so the unique/shared split is contiguous.
@@ -1034,26 +1062,136 @@ class BatchStampPlan:
             flat = rhs.reshape(-1)
             flat[ru] += terms[:kr].reshape(-1)
             np.add.at(flat, rd, terms[kr:].reshape(-1))
+        # One fused factor+solve per live row; the solutions land in
+        # `rhs` in place.
+        bad = linalg.solve_rows_t_into(rows)
+        if bad:
+            rhs[bad] = np.nan
+        return rhs, bad
+
+    def _iterate_sparse(self, step: _BatchStep, x: np.ndarray
+                        ) -> Tuple[np.ndarray, List[int]]:
+        """:meth:`iterate` on the sparse backend: the level schedule
+        factors and solves :meth:`_assemble_cols`'s arrays in place."""
+        live = step.rows.shape[0]
+        try:
+            w, y = self._assemble_cols(step, x)
+        except np.linalg.LinAlgError:
+            # The first row, seeding the pivot analysis, is structurally
+            # singular: eject every row and let the scalar reruns report
+            # their own outcomes.
+            return np.full((live, self.size), np.nan), list(range(live))
         sparse = self._sparse
-        if sparse is None:
-            # One fused factor+solve per live row; the solutions land in
-            # `rhs` in place.
-            bad = linalg.solve_rows_t_into(rows)
-            x_new = rhs
-        else:
-            try:
-                factors, singular = sparse.factorize_rows(matrices)
-            except np.linalg.LinAlgError:
-                # The first row, seeding the pivot analysis, is
-                # structurally singular: eject every row and let the
-                # scalar reruns report their own outcomes.
-                rhs[:] = np.nan
-                return rhs, list(range(live))
-            x_new = sparse.solve_rows(factors, rhs)
-            bad = np.flatnonzero(singular).tolist()
+        singular = sparse.factorize_cols(w)
+        # The caller keeps x_new, so the two solution buffers take turns.
+        solutions = self._iter_scratch[live][-1]
+        x_new = solutions[0]
+        solutions.reverse()
+        x_new[...] = sparse.solve_cols(w, y).T
+        bad = np.flatnonzero(singular).tolist()
         if bad:
             x_new[bad] = np.nan
         return x_new, bad
+
+    def _assemble_cols(self, step: _BatchStep, x: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """Assemble one sparse iterate for every live row, sample-minor.
+
+        Returns ``(w, y)``: the ``(n_cells, L)`` LU working array (each
+        column one sample's pattern values, then zeroed fill cells) and
+        the ``(n, L)`` RHS in pivot-row order.  The groups fill the value
+        rows of one input stack whose other rows are the live bases and
+        point RHS, and one product with the stamp matrix
+        (:meth:`_compile_stamp`, compiled on the first call) yields
+        both.  The first call raises :class:`numpy.linalg.LinAlgError`
+        when its seed for the pivot analysis is structurally singular.
+        """
+        n = self.size
+        live = step.rows.shape[0]
+        n_slots = self._n_slots
+        n_base = n_slots + self._sparse.nnz
+        scratch = self._iter_scratch.get(live)
+        if scratch is None:
+            pool = self._pool
+            xpad = np.empty((n + 1, live))  # not carved: see iterate()
+            xpad[n] = 0.0
+            # Input stack rows: group values, base cells, point RHS.
+            stack = _carve(pool, "stamp_in", (n_base + n, live))
+            scratch = (xpad, stack, stack[:n_slots],
+                       [_carve(pool, f"rhs{k}", (live, n))
+                        for k in range(2)])
+            self._iter_scratch[live] = scratch
+        xpad, stack, vals, _solutions = scratch
+        xpad[:n] = x.T
+        for group, consts in zip(self._groups, step.group_consts):
+            group.fill(xpad, vals, consts)
+        if step is not self._stack_step:
+            # The base and point-RHS rows hold for every iterate of one
+            # step object, which only this width's stack serves.  The
+            # rows are valid sample ids; "clip" spares the bounds check
+            # the default mode buffers `out` for.
+            self._base_stack.take(step.rows, axis=1, mode="clip",
+                                  out=stack[n_slots:n_base])
+            stack[n_base:] = step.rhs_point.T
+            self._stack_step = step
+        if self._stamp is None:
+            self._stamp = self._compile_stamp(stack[:, 0])
+        stamp, n_cells = self._stamp
+        out = stamp @ stack
+        return out[:n_cells], out[n_cells:]
+
+    def _compile_stamp(self, first: np.ndarray) -> Tuple[Any, int]:
+        """The sparse stack's stamp matrix and the LU working cell count.
+
+        ``first`` is the first live column of the input stack; its
+        assembled values seed the pivot analysis when this structure
+        has none yet, as a scalar solve of that sample would.  Row c of
+        the CSR matrix is LU working cell c: a base cell takes its base
+        value (a 1.0 on the base column), then its nonlinear stamps in
+        canonical order (the group value slot, signed); fill cells are
+        empty rows.  Rows ``n_cells + k`` are RHS row ``pr[k]`` built
+        the same way from the point RHS.  ``csr_matvecs`` sums each row
+        in stored order from 0.0, which is the scalar ``np.add.at``
+        sequence from the base: 0.0 + 1.0 * b is b, because the base
+        and point RHS are sums that start from +0.0 and so never hold
+        -0.0 under round-to-nearest, and a product by ±1.0 is exact with
+        or without a fused multiply-add.  Every cell gets the scalar
+        plan's bits.
+        """
+        from scipy.sparse import csr_matrix
+
+        plan0 = self.plans[0]
+        sparse = self._sparse
+        n, nnz, n_slots = self.size, sparse.nnz, self._n_slots
+        m_col = self._slot_of[plan0._m_slot]
+        seed = first[n_slots:n_slots + nnz].copy()
+        np.add.at(seed, plan0._m_pos, first[m_col] * plan0._m_sign)
+        symbolic = sparse.analysis(seed)
+        n_cells = symbolic.n_cells
+        rhs_row = np.empty(n, dtype=np.intp)
+        rhs_row[symbolic.pr] = n_cells + np.arange(n, dtype=np.intp)
+        base_cells = np.arange(nnz, dtype=np.intp)
+        rhs_cells = np.arange(n, dtype=np.intp)
+        n_m, n_r = len(m_col), len(plan0._r_idx)
+        # Entries (output row, input column, coefficient), keyed so the
+        # base entry sorts first in its row and the stamps follow in
+        # canonical order.
+        out_row = np.concatenate([base_cells, plan0._m_pos,
+                                  rhs_row, rhs_row[plan0._r_idx]])
+        col = np.concatenate([n_slots + base_cells, m_col,
+                              n_slots + nnz + rhs_cells,
+                              self._slot_of[plan0._r_slot]])
+        coef = np.concatenate([np.ones(nnz), plan0._m_sign,
+                               np.ones(n), plan0._r_sign])
+        key = np.concatenate([np.full(nnz, -1), np.arange(n_m),
+                              np.full(n, -1), np.arange(n_r)])
+        order = np.lexsort((key, out_row))
+        n_rows = n_cells + n
+        indptr = np.zeros(n_rows + 1, dtype=np.intp)
+        np.cumsum(np.bincount(out_row, minlength=n_rows), out=indptr[1:])
+        stamp = csr_matrix((coef[order], col[order], indptr),
+                           shape=(n_rows, n_slots + nnz + n))
+        return stamp, n_cells
 
 
 # -- the batched Newton driver -------------------------------------------------

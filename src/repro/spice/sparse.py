@@ -28,8 +28,8 @@ follows the stamp-plan philosophy (*compile once, solve many*):
   *depth* (cells per chain plus the global spine), not ``n``.
 * The triangular **solves** are level-scheduled the same way.
 
-Everything is stdlib + NumPy — no SciPy — and every operation runs in
-a schedule frozen at analysis time, so a sparse solve is bit-identical
+The kernels are stdlib + NumPy, and every operation runs in a
+schedule frozen at analysis time, so a sparse solve is bit-identical
 run to run by construction.  It is *not* bit-identical to the dense
 path (a different elimination order rounds differently); the contract
 is waveform agreement within the documented tolerance, enforced by
@@ -40,17 +40,20 @@ the dense kernel, so the recovery ladder (gmin / source stepping)
 treats both backends identically.
 
 The batched sample-axis solver (:mod:`repro.spice.batch`) replays the
-same schedule over a ``(B, nnz)`` stack of same-pattern value rows
-(:meth:`SymbolicLU.refactor_rows` / :meth:`SymbolicLU.solve_rows`):
-each level is still one gather/segment-sum/scatter, now B rows wide,
-and every row's bits equal the 1-D kernel's on that row.  A zero
-pivot there flags its row instead of raising.
+same schedule over a sample-minor ``(cells, B)`` stack, one sample per
+column (:meth:`SymbolicLU.refactor_cols` / :meth:`SymbolicLU.solve_cols`):
+each level gathers whole rows of B values, sums its segments with one
+``np.add.reduceat(..., axis=0)`` and writes the rows back, and every
+column's bits equal the 1-D kernel's on that sample.  A zero pivot
+there flags its column instead of raising.  The kernels use no SciPy;
+that solver assembles their input stack with one SciPy CSR product.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -107,33 +110,37 @@ class SparseContext:
         ``spice.sparse.refactor``.  Raises
         :class:`numpy.linalg.LinAlgError` on an exact zero pivot.
         """
-        symbolic = self._analysis(values)
+        symbolic = self.analysis(values)
         obs.metrics().counter("spice.sparse.refactor").inc()
         return symbolic.refactor(values)
 
-    def factorize_rows(self, values: np.ndarray
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Numeric LU of every row of a ``(B, nnz)`` value stack.
+    def factorize_cols(self, w: np.ndarray) -> np.ndarray:
+        """Numeric LU of every column of a ``(n_cells, B)`` working stack.
 
-        Row 0 seeds the analysis when none exists yet, exactly as a
-        scalar solve of that sample would; each row counts one
-        ``spice.sparse.refactor``.  Returns ``(factors, bad)`` from
-        :meth:`SymbolicLU.refactor_rows`: a zero pivot flags its row
-        instead of raising.  Only the analysis itself can raise
-        :class:`numpy.linalg.LinAlgError` (row 0 structurally
-        singular).
+        The analysis must exist (:meth:`analysis`), since its cell count
+        sizes ``w``.  Each column counts one ``spice.sparse.refactor``.
+        Returns the zero-pivot flag per column from
+        :meth:`SymbolicLU.refactor_cols`, which factors ``w`` in place.
         """
-        symbolic = self._analysis(values[0])
-        obs.metrics().counter("spice.sparse.refactor").inc(values.shape[0])
-        return symbolic.refactor_rows(values)
-
-    def solve_rows(self, factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve every row of ``rhs`` given :meth:`factorize_rows` output."""
         assert self._symbolic is not None
-        return self._symbolic.solve_rows(factors, rhs)
+        obs.metrics().counter("spice.sparse.refactor").inc(w.shape[1])
+        return self._symbolic.refactor_cols(w)
 
-    def _analysis(self, values: np.ndarray) -> "SymbolicLU":
-        """The pattern's symbolic LU, run or fetched on first use."""
+    def solve_cols(self, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Solve every column of the pivot-ordered ``y`` in place given
+        :meth:`factorize_cols` output (see
+        :meth:`SymbolicLU.solve_cols`)."""
+        assert self._symbolic is not None
+        return self._symbolic.solve_cols(w, y)
+
+    def analysis(self, values: np.ndarray) -> "SymbolicLU":
+        """The pattern's symbolic LU, run or fetched on first use.
+
+        ``values`` seeds the pivot choice only when no analysis of this
+        structure exists yet.  Raises
+        :class:`numpy.linalg.LinAlgError` when the seed has an empty or
+        all-zero column.
+        """
         if self._symbolic is None:
             key = self.n.to_bytes(8, "little") + self.flat.tobytes()
             cached = _symbolic_cache.get(key)
@@ -328,54 +335,149 @@ class SymbolicLU:
         out[self.pc] = y
         return out
 
-    # -- the row-stacked twins ---------------------------------------------
+    # -- the sample-minor twins -------------------------------------------
     #
-    # Row b of every (B, ...) array below runs the 1-D kernel's exact
-    # operation sequence: the gathers, elementwise products and divides
-    # act per element, and ``np.add.reduceat(..., axis=1)`` sums each
-    # row's segment with the same contiguous inner loop (pairwise
-    # blocking included) the 1-D call uses.  Rows never mix, so a NaN or
-    # zero pivot in one row cannot move another row's bits.
+    # Column b of every (cells, B) array below runs the 1-D kernel's
+    # exact operation sequence: the row gathers, elementwise products,
+    # subtracts and divides act per element, and
+    # ``np.add.reduceat(..., axis=0)`` sums each column's segment
+    # through the same inner loop (pairwise blocking included) the 1-D
+    # call uses, whatever the stride.  Columns never mix, so a NaN or
+    # zero pivot in one column cannot move another column's bits.  Each
+    # level gathers whole rows of B contiguous values (``take(axis=0)``)
+    # and writes them back as one record per row (:func:`_record`).
 
-    def refactor_rows(self, values: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`refactor` of every row of a ``(B, nnz)`` value stack.
+    @functools.cached_property
+    def _col_levels(self) -> Tuple[list, list, list, np.ndarray]:
+        """Level tables of the sample-minor kernels.
 
-        Returns ``(w, bad)``: the ``(B, n_cells)`` factor rows and a
-        boolean per row flagging an exact zero pivot, where
-        :meth:`refactor` would raise.  A flagged row's factors are
-        garbage; the other rows are unaffected.
+        The 1-D tables with every level's segments reordered by
+        :func:`_multi_first`, so one ``reduceat`` covers only segments
+        of two or more terms; the backward levels list their update
+        targets first.  Last comes the inverse of ``pc``.
         """
-        w = np.zeros((values.shape[0], self.n_cells))
-        w[:, :self.nnz] = values
-        with np.errstate(divide="ignore", invalid="ignore",
-                         over="ignore", under="ignore"):
-            for div_dest, div_src, upd_l, upd_u, uniq, segs \
-                    in self._factor_levels:
-                if len(div_dest):
-                    w[:, div_dest] = w[:, div_dest] / w[:, div_src]
-                if len(uniq):
-                    prod = w[:, upd_l] * w[:, upd_u]
-                    w[:, uniq] -= np.add.reduceat(prod, segs, axis=1)
-        pivots = w[:, self.piv_ids]
-        return w, (pivots == 0.0).any(axis=1)  # noqa: L102 - exact zero pivot
+        factor = [(div_dest, div_src) + _multi_first(uniq, segs, upd_l,
+                                                     upd_u)
+                  for div_dest, div_src, upd_l, upd_u, uniq, segs
+                  in self._factor_levels]
+        forward = [_multi_first(uniq, segs, lids, srcs)
+                   for lids, srcs, uniq, segs in self._forward_levels]
+        backward = []
+        # Every update target of a backward level is one of its ts.
+        for uids, srcs, uniq, segs, ts, _tpivs in self._backward_levels:
+            dests, uids, srcs, starts, n_multi, k_multi = _multi_first(
+                uniq, segs, uids, srcs)
+            ts = np.concatenate([dests, ts[~np.isin(ts, dests)]])
+            backward.append((ts, uids, srcs, starts, n_multi, k_multi,
+                             len(dests), self.piv_ids[ts]))
+        inv_pc = np.empty(self.n, dtype=np.intp)
+        inv_pc[self.pc] = np.arange(self.n, dtype=np.intp)
+        return factor, forward, backward, inv_pc
 
-    def solve_rows(self, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """:meth:`solve` of every row of ``rhs`` against ``w``'s rows."""
-        y = rhs[:, self.pr]  # a fresh (B, n) copy
+    def refactor_cols(self, w: np.ndarray) -> np.ndarray:
+        """:meth:`refactor` of every column of a ``(n_cells, B)`` stack.
+
+        ``w`` holds each sample's values in rows ``[:nnz]`` and zeros in
+        the fill rows, and is factored in place.  Returns a boolean per
+        column flagging an exact zero pivot, where :meth:`refactor`
+        would raise.  A flagged column's factors are garbage; the other
+        columns are unaffected.
+        """
+        rec = _record(w)
+        rows = w.view(rec)
         with np.errstate(divide="ignore", invalid="ignore",
                          over="ignore", under="ignore"):
-            for lids, srcs, uniq, segs in self._forward_levels:
-                prod = w[:, lids] * y[:, srcs]
-                y[:, uniq] -= np.add.reduceat(prod, segs, axis=1)
-            for uids, srcs, uniq, segs, ts, tpivs in self._backward_levels:
-                if len(uniq):
-                    prod = w[:, uids] * y[:, srcs]
-                    y[:, uniq] -= np.add.reduceat(prod, segs, axis=1)
-                y[:, ts] = y[:, ts] / w[:, tpivs]
-        out = np.empty((rhs.shape[0], self.n))
-        out[:, self.pc] = y
-        return out
+            for div_dest, div_src, dests, upd_l, upd_u, starts, n_multi, \
+                    k_multi in self._col_levels[0]:
+                if len(div_dest):
+                    q = w.take(div_dest, axis=0)
+                    q /= w.take(div_src, axis=0)
+                    rows.put(div_dest, q.view(rec))
+                if len(dests):
+                    prod = w.take(upd_l, axis=0)
+                    prod *= w.take(upd_u, axis=0)
+                    cur = w.take(dests, axis=0)
+                    _subtract_segments(cur, prod, starts, n_multi, k_multi)
+                    rows.put(dests, cur.view(rec))
+        pivots = w.take(self.piv_ids, axis=0)
+        return (pivots == 0.0).any(axis=0)  # noqa: L102 - exact zero pivot
+
+    def solve_cols(self, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """:meth:`solve` of every column of ``y`` against ``w``'s columns.
+
+        ``y`` is the ``(n, B)`` right-hand side already in pivot-row
+        order (row k holds RHS row ``pr[k]``); it is substituted in
+        place.  Returns the ``(n, B)`` solution in unknown order.
+        """
+        _factor, forward, backward, inv_pc = self._col_levels
+        rec = _record(y)
+        rows = y.view(rec)
+        with np.errstate(divide="ignore", invalid="ignore",
+                         over="ignore", under="ignore"):
+            for dests, lids, srcs, starts, n_multi, k_multi in forward:
+                prod = w.take(lids, axis=0)
+                prod *= y.take(srcs, axis=0)
+                cur = y.take(dests, axis=0)
+                _subtract_segments(cur, prod, starts, n_multi, k_multi)
+                rows.put(dests, cur.view(rec))
+            for ts, uids, srcs, starts, n_multi, k_multi, n_upd, tpivs \
+                    in backward:
+                cur = y.take(ts, axis=0)
+                if n_upd:
+                    prod = w.take(uids, axis=0)
+                    prod *= y.take(srcs, axis=0)
+                    _subtract_segments(cur[:n_upd], prod, starts, n_multi,
+                                       k_multi)
+                cur /= w.take(tpivs, axis=0)
+                rows.put(ts, cur.view(rec))
+        return y.take(inv_pc, axis=0)
+
+
+def _record(a: np.ndarray) -> np.dtype:
+    """One opaque record per row of C-contiguous 2-D ``a``.
+
+    Viewed with it, ``a`` is a ``(rows, 1)`` array whose ``put`` moves
+    each indexed row with one memory copy (a fancy row assignment costs
+    about three times as much at these sizes); the bytes are copied,
+    never converted.
+    """
+    return np.dtype((np.void, a.itemsize * a.shape[1]))
+
+
+def _multi_first(uniq: np.ndarray, segs: np.ndarray, *payloads: np.ndarray
+                 ) -> Tuple[Any, ...]:
+    """Reorder one level's segments: two or more terms first, then one.
+
+    ``uniq``/``segs``/``payloads`` are a :func:`_segment` result.
+    Returns ``(dests, *payloads, starts, n_multi, k_multi)``: the
+    reordered destinations and terms, the segment starts of the first
+    ``n_multi`` segments (which hold the first ``k_multi`` terms) and
+    those two counts.  Each segment keeps its terms in order, so
+    ``reduceat`` sums it exactly as before, and a one-term segment's
+    sum is its term: ``reduceat`` copies it without an add.
+    """
+    n_ops = len(payloads[0])
+    lengths = np.diff(np.append(segs, n_ops)).astype(np.intp)
+    multi = lengths > 1
+    seg_order = np.concatenate([np.flatnonzero(multi),
+                                np.flatnonzero(~multi)])
+    lengths = lengths[seg_order]
+    starts = np.cumsum(lengths) - lengths
+    op_order = (np.repeat(segs[seg_order] - starts, lengths)
+                + np.arange(n_ops, dtype=np.intp))
+    n_multi = int(np.count_nonzero(multi))
+    return ((uniq[seg_order],) + tuple(p[op_order] for p in payloads)
+            + (starts[:n_multi], n_multi, int(lengths[:n_multi].sum())))
+
+
+def _subtract_segments(cur: np.ndarray, prod: np.ndarray,
+                       starts: np.ndarray, n_multi: int,
+                       k_multi: int) -> None:
+    """``cur[i] -= `` the sum of segment i of ``prod``, per column, in
+    place (segments ordered by :func:`_multi_first`)."""
+    if n_multi:
+        cur[:n_multi] -= np.add.reduceat(prod[:k_multi], starts, axis=0)
+    cur[n_multi:] -= prod[k_multi:]
 
 
 def _segment(dest: np.ndarray, *payloads: np.ndarray

@@ -168,20 +168,30 @@ class Mosfet:
         This is how Monte-Carlo mismatch enters circuit simulation: each
         sampled device instance carries its own Pelgrom VT draw.  The
         subthreshold leakage moves consistently with the shift (one
-        decade per swing).
+        decade per swing).  The copy keeps this device's node and
+        carries its own shifted transistor card, so a draw costs one
+        small object, not a rebuilt node.
         """
-        import dataclasses as _dc
-
         p = self.params
         vth = p.vth + shift
         if vth <= 0.05:
             raise ConfigurationError(
                 f"vth shift {shift:+.3f} V leaves no threshold")
         i_off = p.i_off * 10.0 ** (-shift / p.subthreshold_swing)
-        shifted_params = _dc.replace(p, vth=vth, i_off=i_off)
-        shifted_node = _dc.replace(
-            self.node,
-            transistors={**self.node.transistors,
-                         (self.polarity, self.flavor): shifted_params},
-        )
-        return _dc.replace(self, node=shifted_node)
+        return _ShiftedMosfet(self.node, self.polarity, self.flavor,
+                              self.width, self.length_factor,
+                              dataclasses.replace(p, vth=vth, i_off=i_off))
+
+
+@dataclasses.dataclass(frozen=True)
+class _ShiftedMosfet(Mosfet):
+    """A :class:`Mosfet` whose transistor card is ``card``, its own
+    VT-shifted copy of the node's (see :meth:`Mosfet.with_vth_shift`)."""
+
+    # Always passed; the default only satisfies the field order after
+    # Mosfet's defaulted length_factor.
+    card: TransistorParams = None  # type: ignore[assignment]
+
+    @property
+    def params(self) -> TransistorParams:
+        return self.card

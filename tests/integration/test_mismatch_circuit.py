@@ -8,6 +8,9 @@ below the injected offset mis-resolve, differentials above it resolve
 correctly — tying :mod:`repro.variability` to :mod:`repro.spice`.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.spice import (
@@ -20,6 +23,7 @@ from repro.spice import (
     pulse,
     simulate_transient,
 )
+from repro.spice.stampplan import _mosfet_constants
 from repro.tech import Mosfet, Polarity, VtFlavor
 from repro.units import fF, ns, ps
 
@@ -124,3 +128,33 @@ class TestVthShiftModel:
         before = device.vth
         device.with_vth_shift(0.1)
         assert device.vth == before
+
+    @pytest.mark.parametrize("polarity", [Polarity.NMOS, Polarity.PMOS])
+    def test_solver_constants_match_a_rebuilt_node(self, logic_node,
+                                                   polarity):
+        """A shifted device keeps its node and carries its own card; the
+        solver reads the same constants, bit for bit, as from a device
+        on a node rebuilt around that card, shift after shift."""
+        def rebuilt(device, shift):
+            p = device.params
+            card = dataclasses.replace(
+                p, vth=p.vth + shift,
+                i_off=p.i_off * 10.0 ** (-shift / p.subthreshold_swing))
+            node = dataclasses.replace(device.node, transistors={
+                **device.node.transistors, (polarity, VtFlavor.HVT): card})
+            return dataclasses.replace(device, node=node)
+
+        def constants(device):
+            element = MosfetElement("m", "d", "g", "s", device)
+            return np.array(_mosfet_constants(element)).tobytes()
+
+        device = Mosfet(logic_node, polarity, VtFlavor.HVT, width=7e-7,
+                        length_factor=1.5)
+        shifted, reference = device, device
+        for shift in (0.0312, -0.0173, 0.0):
+            shifted = shifted.with_vth_shift(shift)
+            reference = rebuilt(reference, shift)
+            assert shifted.node is logic_node
+            assert constants(shifted) == constants(reference)
+        assert shifted.params != device.params
+        assert device.params is logic_node.params(polarity, VtFlavor.HVT)

@@ -36,12 +36,13 @@ from repro.spice import (
 )
 from repro.core import FastDramDesign
 from repro.spice import batch as batch_module
-from repro.spice.batch import (_carve_memo, _libm_exp, _libm_memo,
-                               _libm_pow10)
+from repro.spice.batch import (BatchStampPlan, _carve_memo, _libm_exp,
+                               _libm_memo, _libm_pow10)
 from repro.spice.mna import MnaSystem
 from repro.spice.recovery import RecoveryConfig
 from repro.spice.sparse import _symbolic_cache
-from repro.spice.stampplan import SPARSE_AUTO_THRESHOLD
+from repro.spice.stampplan import SPARSE_AUTO_THRESHOLD, StampPlan
+from repro.spice.transient import _initial_state
 from repro.units import ns
 from repro.variability.globalbitline_mc import GlobalBitlineMcModel
 from repro.variability.localblock_mc import LocalBlockMcModel
@@ -349,6 +350,73 @@ class TestSparseBatch:
         assert isinstance(serial[singular][1], SimulationError)
         assert "singular" in str(serial[singular][1])
         _assert_outcomes_identical(batched, serial)
+
+
+class TestSparseStampProduct:
+    """The sparse stack assembles through one CSR product; its bits are
+    the scalar plan's ``np.add.at`` assembly."""
+
+    def test_assembly_equals_scalar_sparse_buffers(self):
+        """A 4-sample default-size global-bitline stack (289 unknowns)
+        at a perturbed iterate: every sample's column of the working
+        array and of the pivot-ordered RHS equals its scalar-sparse
+        ``_assemble`` buffers byte for byte."""
+        model = GlobalBitlineMcModel(FastDramDesign().cell())
+        params = [model.draw(np.random.default_rng(child))
+                  for child in np.random.SeedSequence(2009).spawn(4)]
+        circuits = [model.build(p) for p in params]
+        plan = BatchStampPlan(circuits, backend="sparse")
+        x_hist = np.array([
+            _initial_state(c, s, model.initial_voltages(p))
+            for c, s, p in zip(circuits, plan.systems, params)])
+        x = x_hist + np.random.default_rng(5).normal(
+            0.0, 0.05, x_hist.shape)
+        t, dt = 3 * model.dt, model.dt
+        plan.begin_run(dt)
+        step = plan.begin_step(np.arange(4), x_hist, t, dt)
+        w, y = plan._assemble_cols(step, x)
+        stamp, n_cells = plan._stamp
+        # The crowded cells sum a base and 18-19 stamps.
+        assert np.diff(stamp.indptr).max() >= 19
+        nnz = plan._sparse.nnz
+        pr = plan._sparse._symbolic.pr
+        assert w.shape == (n_cells, 4) and y.shape == (plan.size, 4)
+        assert not w[nnz:].any()
+        for b, circuit in enumerate(circuits):
+            scalar = StampPlan(MnaSystem(circuit), backend="sparse")
+            point = scalar.begin_point(t=t, dt=dt, x_history=x_hist[b])
+            values, rhs = scalar._assemble(point, x[b])
+            assert w[:nnz, b].tobytes() == values.tobytes()
+            assert y[:, b].tobytes() == rhs[pr].tobytes()
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_product_sums_each_row_in_stored_order(self, width):
+        """A crafted row whose in-order, pairwise and reversed sums all
+        differ: the product must give the in-order sum from 0.0, which
+        is what ``np.add.at`` gives, on the single-vector path (width 1)
+        and the multi-vector one."""
+        from scipy.sparse import csr_matrix
+
+        big = 2.0 ** 53  # spacing 2 above it: big + 1.0 rounds to big
+        signed = np.array([1.0, big] + [1.0] * 9 + [-big, 0.5])
+        k = signed.size
+        coef = np.where(np.arange(k) % 3 == 2, -1.0, 1.0)
+        terms = coef * signed  # so that coef * terms == signed
+
+        def add_at(values):
+            acc = np.zeros(1)
+            np.add.at(acc, np.zeros(values.size, dtype=np.intp), values)
+            return acc
+
+        in_order = add_at(signed)
+        assert in_order[0] == 0.5
+        assert np.sum(signed) != 0.5  # pairwise blocks
+        assert add_at(signed[::-1])[0] != 0.5
+        row = csr_matrix((coef, np.arange(k), np.array([0, k])),
+                         shape=(1, k))
+        stack = np.repeat(terms[:, None], width, axis=1)
+        got = row @ stack
+        assert got.tobytes() == np.repeat(in_order, width).tobytes()
 
 
 class TestBatchProperty:

@@ -130,13 +130,13 @@ def arrow_system(rng, n):
     return a
 
 
-def row_stack(a, rows, rng):
-    """``rows`` value rows on ``a``'s pattern, each a random rescale of
-    every entry (same pattern, different numbers)."""
+def value_stack(a, width, rng):
+    """``width`` samples on ``a``'s pattern, one value row each, each a
+    random rescale of every entry (same pattern, different numbers)."""
     ctx, flat = context_for(a)
     base = a.ravel()[flat]
-    values = base * rng.uniform(0.5, 1.5, size=(rows, len(flat)))
-    rhs = rng.normal(size=(rows, a.shape[0]))
+    values = base * rng.uniform(0.5, 1.5, size=(width, len(flat)))
+    rhs = rng.normal(size=(width, a.shape[0]))
     ctx.factorize(values[0])  # seed the analysis
     return ctx, values, rhs
 
@@ -150,64 +150,77 @@ def longest_update_segments(symbolic):
     return lengths
 
 
+WIDTHS = [1, 2, 8]
+
+
 class TestRowKernels:
-    """``refactor_rows``/``solve_rows`` against the 1-D kernels, byte
-    for byte, row by row."""
+    """``refactor_cols``/``solve_cols`` (one sample per column) against
+    the 1-D kernels, byte for byte, sample by sample."""
 
     def solve_and_compare(self, ctx, values, rhs, skip=()):
-        """Factor and solve the stack; every row not in ``skip`` must
-        match the 1-D kernels byte for byte.  Returns ``(bad, x)``."""
+        """Factor and solve the stack sample-minor; every sample not in
+        ``skip`` must match the 1-D kernels byte for byte.  Returns
+        ``(bad, x)`` with one column of ``x`` per sample."""
         symbolic = ctx._symbolic
-        w, bad = ctx.factorize_rows(values)
-        x = ctx.solve_rows(w, rhs)
-        for b in range(values.shape[0]):
+        width = values.shape[0]
+        w = np.zeros((symbolic.n_cells, width))
+        w[:ctx.nnz] = values.T
+        bad = ctx.factorize_cols(w)
+        x = ctx.solve_cols(w, np.ascontiguousarray(rhs.T[symbolic.pr]))
+        assert bad.shape == (width,) and x.shape == (ctx.n, width)
+        for b in range(width):
             if b in skip:
                 continue
             w1 = symbolic.refactor(values[b])
-            assert w1.tobytes() == w[b].tobytes()
-            assert symbolic.solve(w1, rhs[b]).tobytes() == x[b].tobytes()
+            assert w1.tobytes() == w[:, b].tobytes()
+            assert symbolic.solve(w1, rhs[b]).tobytes() == x[:, b].tobytes()
         return bad, x
 
+    @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("n", [5, 16, 48])
-    def test_random_patterns_bit_identical(self, n):
+    def test_random_patterns_bit_identical(self, n, width):
         rng = np.random.default_rng(100 + n)
         a, _ = random_sparse_system(rng, n, extra=n // 2)
-        ctx, values, rhs = row_stack(a, 6, rng)
+        ctx, values, rhs = value_stack(a, width, rng)
         bad, _x = self.solve_and_compare(ctx, values, rhs)
         assert not bad.any()
 
-    def test_long_segments_bit_identical(self):
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_long_segments_bit_identical(self, width):
         """NumPy's pairwise summation changes its add order at 8 and
         128 terms: cover one cell past each boundary."""
         rng = np.random.default_rng(7)
         a = block_diag(arrow_system(rng, 12), arrow_system(rng, 140))
-        ctx, values, rhs = row_stack(a, 5, rng)
+        ctx, values, rhs = value_stack(a, width, rng)
         lengths = longest_update_segments(ctx._symbolic)
         assert any(9 <= k < 128 for k in lengths)
         assert max(lengths) >= 129
         bad, _x = self.solve_and_compare(ctx, values, rhs)
         assert not bad.any()
 
-    def test_zero_pivot_flags_only_its_row(self):
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_zero_pivot_flags_only_its_sample(self, width):
         rng = np.random.default_rng(11)
         a, _ = random_sparse_system(rng, 20)
-        ctx, values, rhs = row_stack(a, 4, rng)
-        rows = ctx.rows
-        values[2, rows == 7] = 0.0  # matrix row 7 of sample 2 vanishes
+        ctx, values, rhs = value_stack(a, width, rng)
+        victim = width // 2
+        values[victim, ctx.rows == 7] = 0.0  # its matrix row 7 vanishes
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            ctx.factorize(values[2])
-        bad, _x = self.solve_and_compare(ctx, values, rhs, skip=(2,))
-        assert bad.tolist() == [False, False, True, False]
+            ctx.factorize(values[victim])
+        bad, _x = self.solve_and_compare(ctx, values, rhs, skip=(victim,))
+        assert np.flatnonzero(bad).tolist() == [victim]
 
-    def test_nan_row_flows_through_like_1d(self):
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_nan_sample_flows_through_like_1d(self, width):
         rng = np.random.default_rng(13)
         a, _ = random_sparse_system(rng, 16)
-        ctx, values, rhs = row_stack(a, 3, rng)
-        values[1, 3] = np.nan
+        ctx, values, rhs = value_stack(a, width, rng)
+        victim = width - 1
+        values[victim, 3] = np.nan
         bad, x = self.solve_and_compare(ctx, values, rhs)
         assert not bad.any()  # NaN is not an exact zero pivot
-        assert np.isnan(x[1]).any()
-        assert np.isfinite(x[[0, 2]]).all()
+        assert np.isnan(x[:, victim]).any()
+        assert np.isfinite(np.delete(x, victim, axis=1)).all()
 
 
 class TestBackendSelection:
